@@ -55,10 +55,10 @@ double TimeBroadcasts(fl::Server* server, size_t num_threads, int rounds,
   server->set_num_threads(num_threads);
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < rounds; ++r) {
-    Result<std::vector<fl::ClientReply>> replies =
-        server->Broadcast(task, fl::Payload());
-    FEDFC_CHECK(replies.ok()) << replies.status();
-    FEDFC_CHECK(replies->size() == server->num_clients());
+    Result<fl::RoundResult> round =
+        server->RunRound(fl::RoundSpec(task, fl::Payload()));
+    FEDFC_CHECK(round.ok()) << round.status();
+    FEDFC_CHECK(round->replies.size() == server->num_clients());
   }
   return SecondsSince(start);
 }

@@ -189,13 +189,6 @@ Result<RoundSummary> Server::RunRound(const RoundSpec& spec,
   return summary;
 }
 
-Result<std::vector<ClientReply>> Server::Broadcast(const std::string& task,
-                                                   const Payload& request) {
-  RoundSpec spec(task, request);
-  FEDFC_ASSIGN_OR_RETURN(RoundResult result, RunRound(spec));
-  return std::move(result.replies);
-}
-
 Result<double> Server::AggregateScalar(const std::vector<ClientReply>& replies,
                                        const std::string& key) {
   ScalarAccumulator acc;

@@ -30,7 +30,7 @@ namespace fedfc::fl {
 /// bit-identical to the sequential run no matter how many threads ran the
 /// round. `num_threads == 1` (the default) takes the plain sequential loop.
 /// With `participation_fraction = 1.0` and `max_retries = 0` (the
-/// RoundPolicy defaults) the round is bit-identical to the legacy Broadcast.
+/// RoundPolicy defaults) the round sends the task to every client once.
 class Server : public RoundRunner {
  public:
   /// `client_sizes[j]` = |D_j| for weight computation.
@@ -54,12 +54,6 @@ class Server : public RoundRunner {
   /// rejects a reply.
   Result<RoundSummary> RunRound(const RoundSpec& spec,
                                 ReplyConsumer& consumer) override;
-
-  /// Thin compatibility wrapper over the buffered RunRound with the default
-  /// policy (full participation, no retries): sends the task to all clients
-  /// and returns the successful replies.
-  Result<std::vector<ClientReply>> Broadcast(const std::string& task,
-                                             const Payload& request);
 
   /// Weighted average of a scalar key across buffered replies — a
   /// `ScalarAccumulator` fold (kept for callers that already hold a

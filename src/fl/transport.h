@@ -32,7 +32,7 @@ struct TransportStats {
 /// Routes a task to one client and returns its reply. Concrete transports
 /// may add latency models or failure injection.
 ///
-/// Thread-safety contract (relied on by the parallel fl::Server::Broadcast):
+/// Thread-safety contract (relied on by the parallel fl::Server::RunRound):
 /// Execute may be called concurrently from multiple threads as long as every
 /// concurrent call targets a *distinct* client_index. Implementations must
 /// guard any state shared across clients (statistics, RNG streams); clients

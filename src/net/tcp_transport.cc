@@ -1,71 +1,21 @@
 #include "net/tcp_transport.h"
 
-#include "core/logging.h"
 #include "fl/task_codec.h"
 
 namespace fedfc::net {
 
-namespace {
-
-std::vector<WorkerEndpoint> SingleClientWorkers(std::vector<Endpoint> endpoints) {
-  std::vector<WorkerEndpoint> workers;
-  workers.reserve(endpoints.size());
-  for (Endpoint& ep : endpoints) {
-    workers.push_back({std::move(ep.host), ep.port, 1});
-  }
-  return workers;
-}
-
-}  // namespace
-
-TcpTransport::TcpTransport(std::vector<Endpoint> endpoints,
-                           TcpTransportOptions options)
-    : TcpTransport(SingleClientWorkers(std::move(endpoints)), options) {}
-
 TcpTransport::TcpTransport(std::vector<WorkerEndpoint> endpoints,
-                           TcpTransportOptions options)
-    : endpoints_(std::move(endpoints)), options_(options) {
-  connections_.reserve(endpoints_.size());
-  for (size_t e = 0; e < endpoints_.size(); ++e) {
-    connections_.push_back(std::make_unique<Connection>());
-    for (size_t slot = 0; slot < endpoints_[e].num_clients; ++slot) {
+                           TcpTransportOptions options) {
+  connections_.reserve(endpoints.size());
+  for (size_t e = 0; e < endpoints.size(); ++e) {
+    WorkerEndpoint& ep = endpoints[e];
+    connections_.push_back(std::make_unique<Connection>(
+        FrameChannel(std::move(ep.host), ep.port, options.connect_timeout_ms,
+                     options.io_timeout_ms)));
+    for (size_t slot = 0; slot < ep.num_clients; ++slot) {
       routes_.push_back({e, static_cast<uint32_t>(slot)});
     }
   }
-}
-
-Result<Frame> TcpTransport::RoundTrip(size_t client_index,
-                                      const Frame& request) {
-  const Route& route = routes_[client_index];
-  Connection& conn = *connections_[route.endpoint];
-  MutexLock lock(conn.mutex);
-  if (!conn.socket.valid()) {
-    const WorkerEndpoint& ep = endpoints_[route.endpoint];
-    Result<Socket> connected =
-        Socket::ConnectTcp(ep.host, ep.port, options_.connect_timeout_ms);
-    if (!connected.ok()) return connected.status();
-    conn.socket = std::move(*connected);
-  }
-  Status sent = WriteFrame(conn.socket, request, options_.io_timeout_ms);
-  if (!sent.ok()) {
-    conn.socket.Close();
-    return sent;
-  }
-  Result<Frame> reply = ReadFrame(conn.socket, options_.io_timeout_ms);
-  if (!reply.ok()) {
-    // The stream may hold a half-read frame — poison, reconnect next call.
-    conn.socket.Close();
-    return reply;
-  }
-  if (reply->client_index != request.client_index) {
-    // A mismatched echo means the request/reply pairing on this stream is
-    // broken (a stale frame from a previous failure): poison it.
-    conn.socket.Close();
-    return Status::Internal(
-        "transport: reply for slot " + std::to_string(reply->client_index) +
-        " to a request for slot " + std::to_string(request.client_index));
-  }
-  return reply;
 }
 
 void TcpTransport::CountFailure(const Status& status) {
@@ -93,21 +43,14 @@ Result<fl::Payload> TcpTransport::Execute(size_t client_index,
     stats_.messages += 1;
     stats_.bytes_to_clients += EncodedFrameSize(frame);
   }
-  Result<Frame> reply = RoundTrip(client_index, frame);
+  Connection& conn = *connections_[routes_[client_index].endpoint];
+  Result<Frame> reply = [&] {
+    MutexLock lock(conn.mutex);
+    return conn.channel.Call(frame);
+  }();
   if (!reply.ok()) {
     CountFailure(reply.status());
     return reply.status();
-  }
-  if (reply->type == FrameType::kError) {
-    Status status = ErrorFrameStatus(*reply);
-    CountFailure(status);
-    return status;
-  }
-  if (reply->type != FrameType::kReply) {
-    Status status = Status::Internal("transport: unexpected frame type from client " +
-                                     std::to_string(client_index));
-    CountFailure(status);
-    return status;
   }
   {
     MutexLock lock(stats_mutex_);
@@ -145,21 +88,9 @@ Status TcpTransport::ShutdownWorker(size_t client_index) {
   if (client_index >= routes_.size()) {
     return Status::OutOfRange("transport: no such client");
   }
-  const Route& route = routes_[client_index];
-  Connection& conn = *connections_[route.endpoint];
+  Connection& conn = *connections_[routes_[client_index].endpoint];
   MutexLock lock(conn.mutex);
-  if (!conn.socket.valid()) {
-    const WorkerEndpoint& ep = endpoints_[route.endpoint];
-    Result<Socket> connected =
-        Socket::ConnectTcp(ep.host, ep.port, options_.connect_timeout_ms);
-    if (!connected.ok()) return connected.status();
-    conn.socket = std::move(*connected);
-  }
-  Frame frame;
-  frame.type = FrameType::kShutdown;
-  Status sent = WriteFrame(conn.socket, frame, options_.io_timeout_ms);
-  conn.socket.Close();
-  return sent;
+  return conn.channel.SendShutdown();
 }
 
 }  // namespace fedfc::net

@@ -10,18 +10,12 @@
 #include "core/sync.h"
 #include "fl/transport.h"
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_channel.h"
 
 namespace fedfc::net {
 
-/// Where one federated client (a fedfc_worker process, or a WorkerServer
-/// thread in tests) is listening.
-struct Endpoint {
-  std::string host = "127.0.0.1";
-  uint16_t port = 0;
-};
-
-/// Where one worker process is listening, and how many clients it hosts.
+/// Where one worker process (a fedfc_worker, or a WorkerServer thread in
+/// tests) is listening, and how many clients it hosts.
 /// Global client indices map onto worker slots in declaration order: the
 /// first endpoint holds globals [0, num_clients), the next the following
 /// block, and so on.
@@ -43,13 +37,13 @@ struct TcpTransportOptions {
 ///
 /// A worker may host many clients (WorkerEndpoint::num_clients); the frame
 /// header's client-index word selects the slot, so all of a worker's
-/// clients share its single connection. Connections are opened lazily on
-/// first use and re-opened lazily after any failure: a failed round-trip
-/// closes the (possibly poisoned) stream, classifies the fault into
-/// TransportStats (`timeouts` for missed deadlines, `failures` for
-/// everything else), and returns the error — the caller's RoundPolicy
-/// retry/backoff machinery then drives recovery, and the retry's Execute
-/// reconnects. Nothing here loops or sleeps.
+/// clients share its single connection — one net::FrameChannel, which opens
+/// the stream lazily on first use and re-opens it lazily after any I/O or
+/// pairing failure. Every failed execute, a client's typed error reply
+/// included, is classified into TransportStats (`timeouts` for missed
+/// deadlines, `failures` for everything else) and returned — the caller's
+/// RoundPolicy retry/backoff machinery then drives recovery. Nothing here
+/// loops or sleeps.
 ///
 /// Thread-safety matches the Transport contract: concurrent Execute calls
 /// are allowed for distinct client indices (one mutex per worker
@@ -58,12 +52,8 @@ struct TcpTransportOptions {
 /// worker's one-frame-at-a-time serve loop.
 class TcpTransport : public fl::Transport {
  public:
-  /// One single-client worker per endpoint (the original deployment shape).
-  explicit TcpTransport(std::vector<Endpoint> endpoints,
-                        TcpTransportOptions options = {});
-
-  /// Multi-client workers: each endpoint hosts a contiguous block of global
-  /// client indices, `num_clients` wide.
+  /// Each endpoint hosts a contiguous block of global client indices,
+  /// `num_clients` wide (one by default).
   explicit TcpTransport(std::vector<WorkerEndpoint> endpoints,
                         TcpTransportOptions options = {});
 
@@ -85,11 +75,12 @@ class TcpTransport : public fl::Transport {
 
  private:
   struct Connection {
+    explicit Connection(FrameChannel c) : channel(std::move(c)) {}
     Mutex mutex;
-    /// The socket is the guarded state: every use — connect, send, receive,
-    /// poison-and-close on an error path — must hold `mutex`, or two clients
-    /// hosted by the same worker could interleave frames on one stream.
-    Socket socket FEDFC_GUARDED_BY(mutex);
+    /// The channel is the guarded state: every call on it must hold
+    /// `mutex`, or two clients hosted by the same worker could interleave
+    /// frames on one stream.
+    FrameChannel channel FEDFC_GUARDED_BY(mutex);
   };
 
   /// Which worker hosts a global client index, and at which local slot.
@@ -98,16 +89,9 @@ class TcpTransport : public fl::Transport {
     uint32_t slot = 0;
   };
 
-  /// Sends `request` and reads one reply frame on the connection of the
-  /// worker hosting `client_index`, connecting first if needed. Any failure
-  /// closes the connection before returning.
-  Result<Frame> RoundTrip(size_t client_index, const Frame& request);
-
   /// Accounts one failed execute under the stats lock.
   void CountFailure(const Status& status);
 
-  std::vector<WorkerEndpoint> endpoints_;
-  TcpTransportOptions options_;
   std::vector<Route> routes_;
   std::vector<std::unique_ptr<Connection>> connections_;
   mutable Mutex stats_mutex_;

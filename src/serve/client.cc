@@ -6,51 +6,32 @@ namespace fedfc::serve {
 
 Result<ServeClient> ServeClient::Connect(const std::string& host,
                                          uint16_t port, int timeout_ms) {
-  FEDFC_ASSIGN_OR_RETURN(net::Socket socket,
-                         net::Socket::ConnectTcp(host, port, timeout_ms));
-  return ServeClient(std::move(socket), timeout_ms);
+  net::FrameChannel channel(host, port, timeout_ms, timeout_ms);
+  FEDFC_RETURN_IF_ERROR(channel.Connect());
+  return ServeClient(std::move(channel));
 }
 
-Result<net::Frame> ServeClient::RoundTrip(const std::string& task,
-                                          const fl::Payload& payload) {
+Result<fl::Payload> ServeClient::Call(const std::string& task,
+                                      const fl::Payload& payload) {
   net::Frame request;
   request.type = net::FrameType::kRequest;
   request.task = task;
   request.body = payload.Serialize();
-  FEDFC_RETURN_IF_ERROR(net::WriteFrame(socket_, request, timeout_ms_));
-  FEDFC_ASSIGN_OR_RETURN(net::Frame reply,
-                         net::ReadFrame(socket_, timeout_ms_));
-  if (reply.type == net::FrameType::kError) {
-    return net::ErrorFrameStatus(reply);
-  }
-  if (reply.type != net::FrameType::kReply || reply.task != task) {
-    return Status::InvalidArgument("serve client: mismatched reply frame for '" +
-                                   task + "'");
-  }
-  return reply;
+  FEDFC_ASSIGN_OR_RETURN(net::Frame reply, channel_.Call(request));
+  return fl::Payload::Deserialize(reply.body);
 }
 
 Result<fl::ForecastReply> ServeClient::Forecast(
     const fl::ForecastRequest& request) {
-  FEDFC_ASSIGN_OR_RETURN(net::Frame reply,
-                         RoundTrip(fl::tasks::kForecast, request.ToPayload()));
-  FEDFC_ASSIGN_OR_RETURN(fl::Payload payload,
-                         fl::Payload::Deserialize(reply.body));
-  return fl::ForecastReply::FromPayload(payload);
+  FEDFC_ASSIGN_OR_RETURN(fl::Payload reply,
+                         Call(fl::tasks::kForecast, request.ToPayload()));
+  return fl::ForecastReply::FromPayload(reply);
 }
 
 Result<fl::PingReply> ServeClient::Ping() {
-  FEDFC_ASSIGN_OR_RETURN(
-      net::Frame reply, RoundTrip(fl::tasks::kPing, fl::PingRequest().ToPayload()));
-  FEDFC_ASSIGN_OR_RETURN(fl::Payload payload,
-                         fl::Payload::Deserialize(reply.body));
-  return fl::PingReply::FromPayload(payload);
-}
-
-Status ServeClient::SendShutdown() {
-  net::Frame frame;
-  frame.type = net::FrameType::kShutdown;
-  return net::WriteFrame(socket_, frame, timeout_ms_);
+  FEDFC_ASSIGN_OR_RETURN(fl::Payload reply,
+                         Call(fl::tasks::kPing, fl::PingRequest().ToPayload()));
+  return fl::PingReply::FromPayload(reply);
 }
 
 }  // namespace fedfc::serve

@@ -7,15 +7,16 @@
 
 #include "core/result.h"
 #include "fl/task_codec.h"
-#include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_channel.h"
 
 namespace fedfc::serve {
 
 /// Blocking request/reply client for a ForecastServer — the counterpart the
 /// e2e tests, the load generator, and embedding applications use. One
-/// connection, one outstanding request at a time; error frames come back as
-/// their typed Status.
+/// net::FrameChannel, one outstanding request at a time; error frames come
+/// back as their typed Status. After any other failed call the stream is
+/// closed, and the next call reconnects to the same host and port — a late
+/// reply is never returned as the answer to a later request.
 class ServeClient {
  public:
   static Result<ServeClient> Connect(const std::string& host, uint16_t port,
@@ -29,19 +30,16 @@ class ServeClient {
   [[nodiscard]] Result<fl::PingReply> Ping();
 
   /// Asks the server to stop (the frame-level shutdown control signal).
-  [[nodiscard]] Status SendShutdown();
+  [[nodiscard]] Status SendShutdown() { return channel_.SendShutdown(); }
 
  private:
-  ServeClient(net::Socket socket, int timeout_ms)
-      : socket_(std::move(socket)), timeout_ms_(timeout_ms) {}
+  explicit ServeClient(net::FrameChannel channel)
+      : channel_(std::move(channel)) {}
 
-  /// Sends one request frame for `task` and reads the reply; kError frames
-  /// surface as their carried Status.
-  Result<net::Frame> RoundTrip(const std::string& task,
-                               const fl::Payload& payload);
+  /// One request/reply call for `task`, returning the decoded reply body.
+  Result<fl::Payload> Call(const std::string& task, const fl::Payload& payload);
 
-  net::Socket socket_;
-  int timeout_ms_;
+  net::FrameChannel channel_;
 };
 
 }  // namespace fedfc::serve

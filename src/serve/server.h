@@ -1,7 +1,6 @@
 #ifndef FEDFC_SERVE_SERVER_H_
 #define FEDFC_SERVE_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
@@ -13,6 +12,7 @@
 #include "core/thread_pool.h"
 #include "fl/task_codec.h"
 #include "net/frame.h"
+#include "net/frame_server.h"
 #include "net/socket.h"
 #include "serve/registry.h"
 #include "serve/service.h"
@@ -42,12 +42,13 @@ struct ServeOptions {
 /// requests into single batched model evaluations.
 ///
 /// Shape: `Start` launches (on an internal ThreadPool) `max_connections`
-/// connection workers, one batcher, and — when a registry is attached — one
-/// watcher; `Wait` joins them. Each connection worker accepts one
-/// connection at a time off the shared listener and answers its frames:
-/// `__ping` inline, `forecast` by enqueueing the decoded request with a
-/// promise and blocking on the future (request/reply per connection, so one
-/// outstanding request per peer). The batcher drains up to `max_batch`
+/// accept loops of one net::FrameServer, one batcher, and — when a registry
+/// is attached — one watcher; `Wait` joins them. Each accept loop serves one
+/// connection at a time off the shared listener (framing, garbage and
+/// shutdown policy: net/frame_server.h); this class is the handler, which
+/// answers `__ping` inline and `forecast` by enqueueing the decoded request
+/// with a promise and blocking on the future (request/reply per connection,
+/// so one outstanding request per peer). The batcher drains up to `max_batch`
 /// requests after a `batch_timeout_ms` linger, snapshots the service ONCE,
 /// packs every row into one matrix, runs one `Forecast` call, and fulfills
 /// each promise with its slice — so a whole batch is answered by exactly
@@ -72,7 +73,7 @@ class ForecastServer {
   /// registry must outlive the server.
   void WatchRegistry(const ModelRegistry* registry) { registry_ = registry; }
 
-  [[nodiscard]] uint16_t port() const { return listener_.port(); }
+  [[nodiscard]] uint16_t port() const { return server_.port(); }
 
   /// Launches the worker jobs and returns immediately. Must not be called
   /// from a thread inside another ThreadPool (nested submits run inline).
@@ -88,7 +89,7 @@ class ForecastServer {
   /// Asks every loop to exit at its next poll. Lock-free and
   /// async-signal-safe (an atomic store, nothing else) — callable from a
   /// SIGINT/SIGTERM handler. Loops observe it within poll_interval_ms.
-  void RequestStop() { stop_.store(true, std::memory_order_relaxed); }
+  void RequestStop() { server_.RequestStop(); }
 
  private:
   /// A decoded forecast request waiting for its batch, carrying the promise
@@ -98,15 +99,12 @@ class ForecastServer {
     std::promise<Result<fl::ForecastReply>> promise;
   };
 
-  [[nodiscard]] bool stopped() const {
-    return stop_.load(std::memory_order_relaxed);
-  }
-  /// In-process stop (shutdown frame): RequestStop plus the cv nudges a
-  /// signal handler is not allowed to make.
-  void StopAndNotify();
+  [[nodiscard]] bool stopped() const { return server_.stopped(); }
+  /// Shutdown-frame hook: the cv nudges a signal handler is not allowed to
+  /// make, so the batcher and watcher stop now rather than at their next
+  /// poll.
+  void NotifyStopped();
 
-  Status ConnectionWorker();
-  void ServeConnection(net::Socket conn);
   /// Answers one request frame; blocks on the batcher for forecasts.
   net::Frame HandleRequest(const net::Frame& request);
   Result<fl::ForecastReply> ForecastBlocking(fl::ForecastRequest request);
@@ -117,7 +115,6 @@ class ForecastServer {
 
   void WatcherLoop();
 
-  net::Listener listener_;
   ForecastService* service_;
   const ModelRegistry* registry_ = nullptr;
   ServeOptions options_;
@@ -129,13 +126,14 @@ class ForecastServer {
   /// request can never be stranded on an unfulfilled promise.
   bool queue_closed_ FEDFC_GUARDED_BY(mutex_) = false;
 
-  /// Watcher's private sleep: a timed wait lets StopAndNotify cut the nap
+  /// Watcher's private sleep: a timed wait lets NotifyStopped cut the nap
   /// short while RequestStop (which cannot notify) is still bounded by the
   /// poll cadence.
   Mutex watch_mutex_;
   CondVar watch_cv_;
 
-  std::atomic<bool> stop_{false};
+  /// Owns the stop flag every loop here polls.
+  net::FrameServer server_;
 
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::future<Status>> jobs_;

@@ -116,32 +116,6 @@ TEST(SampleParticipantsTest, TinyFractionStillSamplesOneClient) {
   EXPECT_EQ(SampleParticipants(spec, 10).size(), 1u);
 }
 
-TEST(RoundTest, DefaultPolicyMatchesBroadcastBitForBit) {
-  // The legacy Broadcast and a default-policy RunRound must agree byte-for-
-  // byte at every thread count (the PR's compatibility contract).
-  for (size_t num_threads : {1u, 4u}) {
-    auto a = MakeServer({1.5, 2.5, 3.5}, {30, 10, 20}, num_threads);
-    auto b = MakeServer({1.5, 2.5, 3.5}, {30, 10, 20}, num_threads);
-    Result<std::vector<ClientReply>> broadcast = a->Broadcast("any", Payload());
-    Result<RoundResult> round = b->RunRound(RoundSpec("any", Payload()));
-    ASSERT_TRUE(broadcast.ok());
-    ASSERT_TRUE(round.ok());
-    ASSERT_EQ(broadcast->size(), round->replies.size());
-    for (size_t j = 0; j < broadcast->size(); ++j) {
-      EXPECT_EQ((*broadcast)[j].client_index, round->replies[j].client_index);
-      EXPECT_DOUBLE_EQ((*broadcast)[j].weight, round->replies[j].weight);
-      EXPECT_EQ((*broadcast)[j].payload.Serialize(),
-                round->replies[j].payload.Serialize());
-    }
-    // Identical transport traffic on both paths.
-    TransportStats sa = a->transport_stats();
-    TransportStats sb = b->transport_stats();
-    EXPECT_EQ(sa.messages, sb.messages);
-    EXPECT_EQ(sa.bytes_to_clients, sb.bytes_to_clients);
-    EXPECT_EQ(sa.bytes_to_server, sb.bytes_to_server);
-  }
-}
-
 TEST(RoundTest, InvalidParticipationFractionRejected) {
   auto server = MakeServer({1.0}, {10});
   RoundSpec spec("any", Payload());

@@ -92,8 +92,8 @@ class WorkerFleet {
     for (auto& future : futures_) EXPECT_TRUE(future.get().ok());
   }
 
-  std::vector<Endpoint> endpoints() const {
-    std::vector<Endpoint> eps;
+  std::vector<WorkerEndpoint> endpoints() const {
+    std::vector<WorkerEndpoint> eps;
     for (const auto& worker : workers_) {
       eps.push_back({"127.0.0.1", worker->port()});
     }
@@ -270,7 +270,7 @@ TEST(LoopbackTest, KilledWorkerIsAbsorbedByRetryPolicy) {
     return worker1->Serve();
   });
 
-  auto transport = std::make_unique<TcpTransport>(std::vector<Endpoint>{
+  auto transport = std::make_unique<TcpTransport>(std::vector<WorkerEndpoint>{
       {"127.0.0.1", worker0.port()}, {"127.0.0.1", crashy_port}});
   TcpTransport* transport_ptr = transport.get();
   fl::Server server(std::move(transport), {30, 10});
@@ -321,8 +321,8 @@ TEST(LoopbackTest, DeadWorkerToleratedAsPartialRound) {
   opt.connect_timeout_ms = 500;
   fl::Server server(
       std::make_unique<TcpTransport>(
-          std::vector<Endpoint>{{"127.0.0.1", worker0.port()},
-                                {"127.0.0.1", dead_port}},
+          std::vector<WorkerEndpoint>{{"127.0.0.1", worker0.port()},
+                                      {"127.0.0.1", dead_port}},
           opt),
       {30, 10});
 

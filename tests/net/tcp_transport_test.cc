@@ -20,7 +20,7 @@ TEST(TcpTransportTest, ExecuteRoundTripsPayload) {
   EchoClient client("c0", 2.5, 40);
   WorkerHarness worker(&pool, &client);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   fl::Payload request;
   request.SetDouble("x", 7.0);
   Result<fl::Payload> reply = transport.Execute(0, "any", request);
@@ -41,7 +41,7 @@ TEST(TcpTransportTest, ClientErrorTravelsAsTypedStatus) {
   EchoClient client("c0", 1.0, 10);
   WorkerHarness worker(&pool, &client);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   Result<fl::Payload> reply = transport.Execute(0, "fail", fl::Payload());
   ASSERT_FALSE(reply.ok());
   // The worker wraps the handler's status in an error frame; the transport
@@ -66,7 +66,7 @@ TEST(TcpTransportTest, ConnectionRefusedCountsAsFailure) {
 
   TcpTransportOptions opt;
   opt.connect_timeout_ms = 500;
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", dead_port}}, opt);
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", dead_port}}, opt);
   Result<fl::Payload> reply = transport.Execute(0, "any", fl::Payload());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kIOError);
@@ -82,7 +82,8 @@ TEST(TcpTransportTest, SilentPeerCountsAsTimeout) {
 
   TcpTransportOptions opt;
   opt.io_timeout_ms = 100;
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", listener->port()}}, opt);
+  TcpTransport transport(
+      std::vector<WorkerEndpoint>{{"127.0.0.1", listener->port()}}, opt);
   Result<fl::Payload> reply = transport.Execute(0, "any", fl::Payload());
   ASSERT_FALSE(reply.ok());
   EXPECT_EQ(reply.status().code(), StatusCode::kDeadlineExceeded);
@@ -91,7 +92,7 @@ TEST(TcpTransportTest, SilentPeerCountsAsTimeout) {
 }
 
 TEST(TcpTransportTest, OutOfRangeClientIndexRejected) {
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", 1}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", 1}});
   EXPECT_EQ(transport.Execute(5, "any", fl::Payload()).status().code(),
             StatusCode::kOutOfRange);
 }
@@ -103,8 +104,8 @@ TEST(TcpTransportTest, QueryNumExamplesFetchesSizesOverTheWire) {
   WorkerHarness w0(&pool, &c0);
   WorkerHarness w1(&pool, &c1);
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", w0.port()},
-                                               {"127.0.0.1", w1.port()}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", w0.port()},
+                                                     {"127.0.0.1", w1.port()}});
   Result<std::vector<size_t>> sizes = transport.QueryNumExamples();
   ASSERT_TRUE(sizes.ok()) << sizes.status();
   EXPECT_EQ(*sizes, (std::vector<size_t>{30, 10}));
@@ -119,7 +120,7 @@ TEST(TcpTransportTest, ShutdownFrameStopsTheWorker) {
   WorkerServer worker(std::move(*listener), &client, FastWorkerOptions());
   auto done = pool.Submit([&worker]() { return worker.Serve(); });
 
-  TcpTransport transport(std::vector<Endpoint>{{"127.0.0.1", worker.port()}});
+  TcpTransport transport(std::vector<WorkerEndpoint>{{"127.0.0.1", worker.port()}});
   ASSERT_TRUE(transport.Execute(0, "any", fl::Payload()).ok());
   ASSERT_TRUE(transport.ShutdownWorker(0).ok());
   // Serve returns on its own — no RequestStop needed.

@@ -45,6 +45,11 @@
 //   includes        #include paths are repo-root-relative: no `../` or `./`
 //                   segments, no absolute paths, and never an #include of a
 //                   .cc/.cpp file.
+//   frame_io        net::ReadFrame/WriteFrame appear in src/ only in
+//                   net/frame.{h,cc}, net/frame_server.{h,cc} and
+//                   net/frame_channel.{h,cc}: one serve loop and one call
+//                   path own the framing policy. src-only: tests act as raw
+//                   peers.
 //   layering        Whole-program: builds the include graph of src/ + tests/
 //                   (with bench/, examples/ and tools/ as extra TU roots) and
 //                   enforces the module DAG
@@ -715,6 +720,35 @@ void CheckRoundBuffering(const LexedFile& f, std::vector<Violation>* out) {
   }
 }
 
+// --- Rule: frame_io ---------------------------------------------------------
+//
+// Frames move over sockets in exactly two places: net::FrameServer (the one
+// serve loop behind WorkerServer and serve::ForecastServer) and
+// net::FrameChannel (the one call path behind TcpTransport and
+// serve::ServeClient); see docs/ARCHITECTURE.md, "Wire protocol &
+// multi-process mode". A third ReadFrame/WriteFrame caller in src/ would be
+// a third copy of the garbage, pairing and reconnect policy. No fedfc-allow
+// escape: new framing behaviour belongs in one of the two owners.
+
+bool IsFrameIoExempt(const std::string& rel_path) {
+  return rel_path == "net/frame.h" || rel_path == "net/frame.cc" ||
+         rel_path == "net/frame_server.h" || rel_path == "net/frame_server.cc" ||
+         rel_path == "net/frame_channel.h" || rel_path == "net/frame_channel.cc";
+}
+
+void CheckFrameIo(const LexedFile& f, std::vector<Violation>* out) {
+  if (IsFrameIoExempt(f.rel_path)) return;
+  for (const Token& tok : f.tokens) {
+    if (IsIdent(tok, "ReadFrame") || IsIdent(tok, "WriteFrame")) {
+      out->push_back({f.rel_path, tok.line, "frame_io",
+                      tok.text +
+                          " outside net/frame_server and net/frame_channel — "
+                          "serve through FrameServer, call through "
+                          "FrameChannel"});
+    }
+  }
+}
+
 // --- Rule: layering (new, whole-program) -----------------------------------
 //
 // fedfc_lint's first cross-file pass. It sees every lexed file at once —
@@ -1024,6 +1058,9 @@ constexpr Rule kRules[] = {
      "SIMD intrinsics (<*intrin.h>, _mm*/__m*) only in src/ml/kernels/"},
     {"round_buffering", CheckRoundBuffering, false,
      "src/automl/ consumes rounds via ReplyConsumer folds, not RoundResult"},
+    {"frame_io", CheckFrameIo, false,
+     "ReadFrame/WriteFrame only in net/frame, net/frame_server and "
+     "net/frame_channel"},
     {"layering", nullptr, true,
      "module DAG core<-{ts,data}<-{ml,features}<-fl<-{net,automl}; no "
      "cycles, orphan headers, or includes from tools/",
@@ -1413,6 +1450,31 @@ const std::vector<SelfTestCase>& SelfTestCases() {
       {"round_buffering",
        {"automl/doc.cc",
         "// legacy phases held a RoundResult and looped over .replies\n"},
+       false, "mentions in comments do not fire"},
+      // frame_io
+      {"frame_io",
+       {"serve/bad_loop.cc",
+        "void F(net::Socket& s) {\n"
+        "  Result<net::Frame> f = net::ReadFrame(s, 100);\n}\n"},
+       true, "a serve loop reading frames itself fires"},
+      {"frame_io",
+       {"net/tcp_transport.cc",
+        "Status F(Socket& s, const Frame& f) { return WriteFrame(s, f, 100); }\n"},
+       true, "a call path writing frames itself fires, even inside net/"},
+      {"frame_io",
+       {"net/frame_server.cc",
+        "void F(Socket& c, const Frame& f) {\n"
+        "  Result<Frame> in = ReadFrame(c, 100);\n"
+        "  Status out = WriteFrame(c, f, 100);\n}\n"},
+       false, "the frame server owns the serve side"},
+      {"frame_io",
+       {"net/frame_channel.cc",
+        "Result<Frame> F(Socket& s, const Frame& f) {\n"
+        "  FEDFC_RETURN_IF_ERROR(WriteFrame(s, f, 100));\n"
+        "  return ReadFrame(s, 100);\n}\n"},
+       false, "the frame channel owns the call side"},
+      {"frame_io",
+       {"serve/doc.cc", "// the channel calls WriteFrame then ReadFrame\n"},
        false, "mentions in comments do not fire"},
   };
   return cases;
