@@ -2,7 +2,8 @@
 /// sizes (8 -> 1024 clients, ~16 KiB tensor replies). The streaming path
 /// folds each reply into a TensorAccumulator as it completes and drops the
 /// payload, so its live reply memory is one aggregate regardless of the
-/// client count; the legacy buffered path materializes every reply before
+/// client count; the buffered reference pass (a bench-local consumer that
+/// keeps every reply, then folds) materializes the whole round before
 /// aggregating, so its per-round reply footprint grows linearly. The sweep
 /// runs the streaming pass first, ascending — process RSS is sticky, so
 /// running the buffered pass first would hide the streaming flatness under
@@ -109,6 +110,19 @@ class TensorFold : public fl::ReplyConsumer {
   fl::TensorAccumulator acc_;
 };
 
+/// The buffered reference: keeps every reply of the round (raw weights) so
+/// the fold can only start once the whole round is in memory.
+class BufferingConsumer : public fl::ReplyConsumer {
+ public:
+  Status Consume(fl::ClientReply&& r) override {
+    replies.push_back(std::move(r));
+    return Status::OK();
+  }
+  Status Finish() override { return Status::OK(); }
+
+  std::vector<fl::ClientReply> replies;
+};
+
 double Checksum(const std::vector<double>& tensor) {
   double sum = 0.0;
   for (double v : tensor) sum += v;
@@ -142,17 +156,22 @@ double TimeBufferedRounds(fl::Server* server, double* checksum,
                           size_t* reply_bytes) {
   auto start = std::chrono::steady_clock::now();
   for (int r = 0; r < kRoundsPerSize; ++r) {
-    Result<fl::RoundResult> round =
-        server->RunRound(fl::RoundSpec("round", fl::Payload()));
-    FEDFC_CHECK(round.ok()) << round.status();
+    BufferingConsumer buffer;
+    Result<fl::RoundSummary> summary =
+        server->RunRound(fl::RoundSpec("round", fl::Payload()), buffer);
+    FEDFC_CHECK(summary.ok()) << summary.status();
     if (r == 0) {
       *reply_bytes = 0;
-      for (const fl::ClientReply& reply : round->replies) {
+      for (const fl::ClientReply& reply : buffer.replies) {
         *reply_bytes += reply.payload.Serialize().size();
       }
     }
-    Result<std::vector<double>> mean =
-        fl::Server::AggregateTensor(round->replies, "params");
+    TensorFold fold;
+    for (fl::ClientReply& reply : buffer.replies) {
+      Status folded = fold.Consume(std::move(reply));
+      FEDFC_CHECK(folded.ok()) << folded;
+    }
+    Result<std::vector<double>> mean = fold.Mean();
     FEDFC_CHECK(mean.ok()) << mean.status();
     *checksum = Checksum(*mean);
   }
@@ -201,7 +220,7 @@ int Main(int argc, char** argv) {
 
   for (size_t i = 0; i < sweep.size(); ++i) {
     const SweepPoint& p = points[i];
-    // Raw-weight streaming fold vs normalized buffered fold agree to ulps.
+    // The same raw-weight fold, streamed or run over the buffered round.
     FEDFC_CHECK(std::abs(p.streaming_checksum - p.buffered_checksum) < 1e-9)
         << "aggregation mismatch at " << sweep[i] << " clients";
     std::printf(

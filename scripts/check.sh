@@ -4,8 +4,9 @@
 #   tsan    ThreadSanitizer over the concurrency-sensitive suites (tests/core,
 #           tests/fl, and the automl engine/phases suites that drive
 #           concurrent rounds), built into build-tsan/.
-#   asan    AddressSanitizer (+ leak checking) over the full test suite,
-#           built into build-asan/.
+#   asan    AddressSanitizer (+ leak checking and libstdc++ assertions,
+#           -D_GLIBCXX_ASSERTIONS) over the full test suite, built into
+#           build-asan/.
 #   ubsan   UndefinedBehaviorSanitizer (non-recoverable) over the full test
 #           suite, built into build-ubsan/.
 #   lint    fedfc_lint repo-invariant linter (12 rules incl. the whole-program

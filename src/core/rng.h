@@ -24,10 +24,13 @@ class Rng {
     return dist(engine_);
   }
 
-  /// Standard normal (optionally scaled/shifted).
+  /// Standard normal (optionally scaled/shifted). The draw is standard and
+  /// scaled here, with the same arithmetic libstdc++ applies internally, so
+  /// outputs match a `normal_distribution(mean, stddev)` draw bit for bit
+  /// while `stddev == 0` (which that distribution forbids) returns `mean`.
   double Normal(double mean = 0.0, double stddev = 1.0) {
-    std::normal_distribution<double> dist(mean, stddev);
-    return dist(engine_);
+    std::normal_distribution<double> dist;
+    return dist(engine_) * stddev + mean;
   }
 
   /// Uniform integer in [lo, hi] inclusive.

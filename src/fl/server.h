@@ -2,12 +2,10 @@
 #define FEDFC_FL_SERVER_H_
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/result.h"
 #include "core/thread_pool.h"
-#include "fl/payload.h"
 #include "fl/round.h"
 #include "fl/transport.h"
 
@@ -44,9 +42,6 @@ class Server : public RoundRunner {
   void set_num_threads(size_t num_threads);
   [[nodiscard]] size_t num_threads() const { return pool_ ? pool_->size() : 1; }
 
-  /// The buffered `RunRound(spec)` convenience from the base class.
-  using RoundRunner::RunRound;
-
   /// Runs one federated round as described by the spec, streaming successful
   /// replies into `consumer`. Fails when every sampled client fails, when
   /// fewer than `policy.min_success_fraction` of them succeed (partial
@@ -55,19 +50,7 @@ class Server : public RoundRunner {
   Result<RoundSummary> RunRound(const RoundSpec& spec,
                                 ReplyConsumer& consumer) override;
 
-  /// Weighted average of a scalar key across buffered replies — a
-  /// `ScalarAccumulator` fold (kept for callers that already hold a
-  /// RoundResult; streaming callers fold directly).
-  static Result<double> AggregateScalar(const std::vector<ClientReply>& replies,
-                                        const std::string& key);
-
-  /// Weighted element-wise average of a tensor key across buffered replies
-  /// (FedAvg) — a `TensorAccumulator` fold.
-  static Result<std::vector<double>> AggregateTensor(
-      const std::vector<ClientReply>& replies, const std::string& key);
-
   [[nodiscard]] TransportStats transport_stats() const { return transport_->stats(); }
-  Transport& transport() { return *transport_; }
 
  private:
   std::unique_ptr<Transport> transport_;

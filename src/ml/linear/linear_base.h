@@ -26,7 +26,6 @@ class LinearRegressorBase : public Regressor {
 
   std::vector<double> GetParameters() const override;
   Status SetParameters(const std::vector<double>& params) override;
-  bool SupportsParameterAveraging() const override { return true; }
   Status ValidateFeatureWidth(size_t n_cols) const override;
 
   [[nodiscard]] const std::vector<double>& weights() const { return weights_; }

@@ -17,7 +17,8 @@ namespace fedfc::ml {
 ///
 /// Models that support federated parameter averaging (linear models and
 /// neural networks) expose their parameters as a flat vector; tree ensembles
-/// do not and are aggregated by ensembling instead (see fl::AggregateModels).
+/// do not and are aggregated by merging their trees instead (see
+/// automl::ModelBlobAccumulator).
 class Regressor {
  public:
   virtual ~Regressor() = default;
@@ -35,7 +36,6 @@ class Regressor {
   virtual Status SetParameters(const std::vector<double>& /*params*/) {
     return Status::Unimplemented("model does not support parameter loading");
   }
-  virtual bool SupportsParameterAveraging() const { return false; }
 
   /// Checks that a fitted (possibly deserialized) model can predict rows of
   /// `n_cols` features. Predict itself trusts its caller — a model decoded

@@ -100,7 +100,6 @@ class NBeatsRegressor : public Regressor {
   std::string Name() const override { return "NBeats"; }
   std::vector<double> GetParameters() const override;
   Status SetParameters(const std::vector<double>& params) override;
-  bool SupportsParameterAveraging() const override { return true; }
   std::unique_ptr<Regressor> Clone() const override {
     return std::make_unique<NBeatsRegressor>(*this);
   }

@@ -43,8 +43,8 @@ class GbdtRegressor : public Regressor {
   [[nodiscard]] size_t n_trees() const { return trees_.size(); }
 
   /// Full fitted-model encoding (base score + every tree) for FL transfer.
-  /// This is NOT averageable (SupportsParameterAveraging stays false); the
-  /// server reconstructs per-client models and ensembles them.
+  /// It is not averageable like a parameter vector; the server merges the
+  /// client trees into one weighted ensemble (automl::ModelBlobAccumulator).
   [[nodiscard]] std::vector<double> SerializeModel() const;
   Status DeserializeModel(const std::vector<double>& data);
 

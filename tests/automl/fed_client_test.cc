@@ -6,6 +6,7 @@
 #include "data/generators.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::automl {
 namespace {
@@ -151,12 +152,12 @@ TEST(ForecastClientTest, WorksThroughServerBroadcast) {
         "c" + std::to_string(j), s, ForecastClient::Options{}));
   }
   fl::Server server(std::make_unique<fl::InProcessTransport>(clients), sizes);
-  Result<fl::RoundResult> round = server.RunRound(fl::RoundSpec(
-      tasks::kFitEvaluate, SpecConfigRequest(BasicSpec(), LassoConfig())));
+  Result<fl::CollectedRound> round = fl::CollectRound(
+      server, fl::RoundSpec(tasks::kFitEvaluate,
+                            SpecConfigRequest(BasicSpec(), LassoConfig())));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->replies.size(), 3u);
-  Result<double> global =
-      fl::Server::AggregateScalar(round->replies, "valid_loss");
+  Result<double> global = fl::WeightedMean(round->replies, "valid_loss");
   ASSERT_TRUE(global.ok());
   EXPECT_GE(*global, 0.0);
 }

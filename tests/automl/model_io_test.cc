@@ -90,10 +90,10 @@ TEST(ModelIoTest, SerializeRejectsUnfittedLinear) {
 }
 
 TEST(AggregateBlobsTest, LinearBlobsAverage) {
-  Configuration config = HuberConfig();
-  std::vector<std::vector<double>> blobs = {{2.0, 4.0, 1.0}, {4.0, 8.0, 3.0}};
-  Result<std::vector<double>> merged =
-      AggregateModelBlobs(config, blobs, {0.5, 0.5});
+  ModelBlobAccumulator acc(HuberConfig());
+  ASSERT_TRUE(acc.Add(0.5, {2.0, 4.0, 1.0}).ok());
+  ASSERT_TRUE(acc.Add(0.5, {4.0, 8.0, 3.0}).ok());
+  Result<std::vector<double>> merged = acc.Finish();
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ((*merged)[0], 3.0);
   EXPECT_DOUBLE_EQ((*merged)[1], 6.0);
@@ -101,10 +101,10 @@ TEST(AggregateBlobsTest, LinearBlobsAverage) {
 }
 
 TEST(AggregateBlobsTest, UnnormalizedWeightsRenormalized) {
-  Configuration config = HuberConfig();
-  std::vector<std::vector<double>> blobs = {{2.0}, {4.0}};
-  Result<std::vector<double>> merged =
-      AggregateModelBlobs(config, blobs, {10.0, 30.0});
+  ModelBlobAccumulator acc(HuberConfig());
+  ASSERT_TRUE(acc.Add(10.0, {2.0}).ok());
+  ASSERT_TRUE(acc.Add(30.0, {4.0}).ok());
+  Result<std::vector<double>> merged = acc.Finish();
   ASSERT_TRUE(merged.ok());
   EXPECT_DOUBLE_EQ((*merged)[0], 3.5);
 }
@@ -115,8 +115,9 @@ TEST(AggregateBlobsTest, XgbMergePredictionEquivalentToEnsemble) {
   Configuration config = XgbConfig();
   Problem p1 = MakeProblem(2.0, 5);
   Problem p2 = MakeProblem(5.0, 6);
-  std::vector<std::vector<double>> blobs;
+  ModelBlobAccumulator acc(config);
   std::vector<std::unique_ptr<ml::Regressor>> models;
+  const std::vector<double> weights = {0.3, 0.7};
   for (const Problem* p : {&p1, &p2}) {
     Result<std::unique_ptr<ml::Regressor>> model = CreateRegressor(config);
     ASSERT_TRUE(model.ok());
@@ -124,11 +125,10 @@ TEST(AggregateBlobsTest, XgbMergePredictionEquivalentToEnsemble) {
     ASSERT_TRUE((*model)->Fit(p->x, p->y, &rng).ok());
     Result<std::vector<double>> blob = SerializeModel(config, **model);
     ASSERT_TRUE(blob.ok());
-    blobs.push_back(std::move(*blob));
+    ASSERT_TRUE(acc.Add(weights[models.size()], *blob).ok());
     models.push_back(std::move(*model));
   }
-  std::vector<double> weights = {0.3, 0.7};
-  Result<std::vector<double>> merged = AggregateModelBlobs(config, blobs, weights);
+  Result<std::vector<double>> merged = acc.Finish();
   ASSERT_TRUE(merged.ok());
   Result<std::unique_ptr<ml::Regressor>> global =
       DeserializeModel(config, *merged);
@@ -143,12 +143,121 @@ TEST(AggregateBlobsTest, XgbMergePredictionEquivalentToEnsemble) {
 }
 
 TEST(AggregateBlobsTest, RejectsBadInputs) {
-  Configuration config = HuberConfig();
-  EXPECT_FALSE(AggregateModelBlobs(config, {}, {}).ok());
-  EXPECT_FALSE(AggregateModelBlobs(config, {{1.0}, {1.0, 2.0}}, {0.5, 0.5}).ok());
-  EXPECT_FALSE(AggregateModelBlobs(config, {{1.0}}, {0.0}).ok());
-  Configuration xgb = XgbConfig();
-  EXPECT_FALSE(AggregateModelBlobs(xgb, {{1.0}}, {1.0}).ok());  // Short blob.
+  {
+    ModelBlobAccumulator acc(HuberConfig());
+    EXPECT_FALSE(acc.Finish().ok());  // Nothing added.
+  }
+  {
+    ModelBlobAccumulator acc(HuberConfig());
+    ASSERT_TRUE(acc.Add(0.5, {1.0}).ok());
+    EXPECT_FALSE(acc.Add(0.5, {1.0, 2.0}).ok());  // Size mismatch.
+  }
+  {
+    ModelBlobAccumulator acc(HuberConfig());
+    ASSERT_TRUE(acc.Add(0.0, {1.0}).ok());
+    EXPECT_FALSE(acc.Finish().ok());  // Zero total weight.
+  }
+  ModelBlobAccumulator xgb(XgbConfig());
+  EXPECT_FALSE(xgb.Add(1.0, {1.0}).ok());  // Short blob.
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 1, lines 26-27, end to end: fitted client models are serialized,
+// folded by |D_j| and decoded into the one global model.
+// ---------------------------------------------------------------------------
+
+/// Fits one model per problem, folds the blobs with `weights`, and decodes
+/// the global model; the fitted client models land in `clients`.
+Result<std::unique_ptr<ml::Regressor>> FitAndAggregate(
+    const Configuration& config, const std::vector<const Problem*>& problems,
+    const std::vector<double>& weights,
+    std::vector<std::unique_ptr<ml::Regressor>>* clients) {
+  ModelBlobAccumulator acc(config);
+  for (size_t k = 0; k < problems.size(); ++k) {
+    FEDFC_ASSIGN_OR_RETURN(std::unique_ptr<ml::Regressor> model,
+                           CreateRegressor(config));
+    Rng rng(11 + k);
+    FEDFC_RETURN_IF_ERROR(model->Fit(problems[k]->x, problems[k]->y, &rng));
+    FEDFC_ASSIGN_OR_RETURN(std::vector<double> blob,
+                           SerializeModel(config, *model));
+    FEDFC_RETURN_IF_ERROR(acc.Add(weights[k], blob));
+    clients->push_back(std::move(model));
+  }
+  FEDFC_ASSIGN_OR_RETURN(std::vector<double> global, acc.Finish());
+  return DeserializeModel(config, global);
+}
+
+TEST(AggregateModelsTest, LinearModelsFedAvg) {
+  // Two clients with different slopes and equal |D_j|: FedAvg of linear
+  // parameters predicts exactly the mean of the two client predictions.
+  Problem p1 = MakeProblem(2.0, 8);
+  Problem p2 = MakeProblem(4.0, 9);
+  std::vector<std::unique_ptr<ml::Regressor>> clients;
+  Result<std::unique_ptr<ml::Regressor>> global =
+      FitAndAggregate(HuberConfig(), {&p1, &p2}, {120.0, 120.0}, &clients);
+  ASSERT_TRUE(global.ok()) << global.status();
+  Matrix probe({{1.0, 0.0}});
+  const double pg = (*global)->Predict(probe)[0];
+  EXPECT_NEAR(pg, 3.0, 0.1);
+  EXPECT_NEAR(pg,
+              0.5 * (clients[0]->Predict(probe)[0] +
+                     clients[1]->Predict(probe)[0]),
+              1e-9);
+}
+
+TEST(AggregateModelsTest, WeightsBiasTheAverage) {
+  Problem p1 = MakeProblem(2.0, 10);
+  Problem p2 = MakeProblem(4.0, 11);
+  std::vector<std::unique_ptr<ml::Regressor>> clients;
+  Result<std::unique_ptr<ml::Regressor>> global =
+      FitAndAggregate(HuberConfig(), {&p1, &p2}, {120.0, 0.0}, &clients);
+  ASSERT_TRUE(global.ok()) << global.status();
+  Matrix probe({{1.0, 0.0}});
+  EXPECT_NEAR((*global)->Predict(probe)[0], 2.0, 0.1);
+}
+
+TEST(AggregateModelsTest, TreeModelsBecomeEnsemble) {
+  // Tree ensembles are not parameter-averaged: the global model carries
+  // every client's trees and predicts their weighted mean.
+  Configuration config = XgbConfig();
+  config.numeric["n_estimators"] = 40;
+  config.numeric["learning_rate"] = 0.3;
+  Problem p1 = MakeProblem(2.0, 12);
+  Problem p2 = MakeProblem(4.0, 13);
+  std::vector<std::unique_ptr<ml::Regressor>> clients;
+  Result<std::unique_ptr<ml::Regressor>> global =
+      FitAndAggregate(config, {&p1, &p2}, {60.0, 60.0}, &clients);
+  ASSERT_TRUE(global.ok()) << global.status();
+  auto* merged = dynamic_cast<ml::GbdtRegressor*>(global->get());
+  ASSERT_NE(merged, nullptr);
+  EXPECT_EQ(merged->n_trees(),
+            dynamic_cast<ml::GbdtRegressor&>(*clients[0]).n_trees() +
+                dynamic_cast<ml::GbdtRegressor&>(*clients[1]).n_trees());
+  Matrix probe({{1.0, 0.0}});
+  const double pg = (*global)->Predict(probe)[0];
+  EXPECT_NEAR(pg, 3.0, 0.5);
+  EXPECT_NEAR(pg,
+              0.5 * (clients[0]->Predict(probe)[0] +
+                     clients[1]->Predict(probe)[0]),
+              1e-9);
+}
+
+TEST(AggregateModelsTest, RejectsBadInputs) {
+  // Nothing to aggregate, and clients whose models disagree on the feature
+  // count, are typed errors rather than a malformed global model.
+  ModelBlobAccumulator empty(HuberConfig());
+  EXPECT_EQ(empty.Finish().status().code(), StatusCode::kInvalidArgument);
+
+  Problem wide = MakeProblem(2.0, 14);
+  Problem narrow;
+  narrow.x = Matrix(wide.x.rows(), 1);
+  for (size_t i = 0; i < wide.x.rows(); ++i) narrow.x(i, 0) = wide.x(i, 0);
+  narrow.y = wide.y;
+  std::vector<std::unique_ptr<ml::Regressor>> clients;
+  Result<std::unique_ptr<ml::Regressor>> global =
+      FitAndAggregate(HuberConfig(), {&wide, &narrow}, {1.0, 1.0}, &clients);
+  ASSERT_FALSE(global.ok());
+  EXPECT_EQ(global.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---------------------------------------------------------------------------

@@ -13,17 +13,19 @@
 #include "features/feature_selection.h"
 #include "features/meta_features.h"
 #include "fl/task_codec.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::automl::phases {
 namespace {
 
 /// RoundRunner double: replies come from a responder function, never a
 /// transport. Records every spec so tests can assert on task ids and seeds.
-/// The responder still produces a buffered RoundResult for convenience; it is
-/// replayed through the consumer exactly like a streaming round would be.
+/// The responder returns a whole canned round; its replies are fed to the
+/// consumer in order, then Finish, as the ReplyConsumer contract requires.
 class FakeRoundRunner : public fl::RoundRunner {
  public:
-  using Responder = std::function<Result<fl::RoundResult>(const fl::RoundSpec&)>;
+  using Responder =
+      std::function<Result<fl::CollectedRound>(const fl::RoundSpec&)>;
 
   explicit FakeRoundRunner(Responder responder)
       : responder_(std::move(responder)) {}
@@ -31,8 +33,12 @@ class FakeRoundRunner : public fl::RoundRunner {
   Result<fl::RoundSummary> RunRound(const fl::RoundSpec& spec,
                                     fl::ReplyConsumer& consumer) override {
     specs.push_back(spec);
-    FEDFC_ASSIGN_OR_RETURN(fl::RoundResult result, responder_(spec));
-    return fl::FeedRoundResult(std::move(result), consumer);
+    FEDFC_ASSIGN_OR_RETURN(fl::CollectedRound round, responder_(spec));
+    for (fl::ClientReply& reply : round.replies) {
+      FEDFC_RETURN_IF_ERROR(consumer.Consume(std::move(reply)));
+    }
+    FEDFC_RETURN_IF_ERROR(consumer.Finish());
+    return fl::RoundSummary{std::move(round.outcomes), round.trace};
   }
 
   std::vector<fl::RoundSpec> specs;
@@ -41,16 +47,15 @@ class FakeRoundRunner : public fl::RoundRunner {
   Responder responder_;
 };
 
-/// Builds a successful RoundResult from (weight, payload) pairs; weights are
-/// renormalized like the real server does.
-fl::RoundResult MakeResult(std::vector<std::pair<double, fl::Payload>> replies) {
-  fl::RoundResult result;
-  double total = 0.0;
-  for (const auto& [w, _] : replies) total += w;
+/// Builds a successful round from (|D_j|, payload) pairs; the weights stay
+/// raw, as the real server streams them.
+fl::CollectedRound MakeResult(
+    std::vector<std::pair<double, fl::Payload>> replies) {
+  fl::CollectedRound result;
   for (size_t j = 0; j < replies.size(); ++j) {
     fl::ClientReply r;
     r.client_index = j;
-    r.weight = replies[j].first / total;
+    r.weight = replies[j].first;
     r.payload = std::move(replies[j].second);
     result.replies.push_back(std::move(r));
     fl::ClientOutcome outcome;
@@ -113,9 +118,10 @@ TEST(FeaturePhaseTest, SpecDerivedFromAggregatedMetaFeatures) {
   input.aggregated = &agg;
   input.feature_selection = false;
   input.max_lags = 12;
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
-    return Status::Internal("phase must not issue rounds");
-  });
+  FakeRoundRunner runner(
+      [](const fl::RoundSpec&) -> Result<fl::CollectedRound> {
+        return Status::Internal("phase must not issue rounds");
+      });
   Result<features::FeatureEngineeringSpec> spec =
       RunFeaturePhase(runner, input, PhaseRoundOptions{});
   ASSERT_TRUE(spec.ok()) << spec.status();
@@ -162,9 +168,10 @@ TEST(FeaturePhaseTest, FailedImportanceRoundIsBestEffort) {
   agg.global_lag_count = 4;
   FeaturePhaseInput input;
   input.aggregated = &agg;
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
-    return Status::Internal("all clients failed");
-  });
+  FakeRoundRunner runner(
+      [](const fl::RoundSpec&) -> Result<fl::CollectedRound> {
+        return Status::Internal("all clients failed");
+      });
   Result<features::FeatureEngineeringSpec> spec =
       RunFeaturePhase(runner, input, PhaseRoundOptions{});
   ASSERT_TRUE(spec.ok()) << spec.status();  // Selection skipped, not fatal.
@@ -244,7 +251,7 @@ TEST(OptimizePhaseTest, FailedRoundsCountAgainstIterationCap) {
   Rng rng(3);
   size_t calls = 0;
   FakeRoundRunner runner(
-      [&](const fl::RoundSpec&) -> Result<fl::RoundResult> {
+      [&](const fl::RoundSpec&) -> Result<fl::CollectedRound> {
         if (calls++ < 2) return Status::Internal("round failed");
         fl::FitEvaluateReply reply;
         reply.valid_loss = 0.5;
@@ -260,9 +267,10 @@ TEST(OptimizePhaseTest, FailedRoundsCountAgainstIterationCap) {
 
 TEST(OptimizePhaseTest, NoObservationsIsDeadlineExceeded) {
   Rng rng(3);
-  FakeRoundRunner runner([](const fl::RoundSpec&) -> Result<fl::RoundResult> {
-    return Status::Internal("round failed");
-  });
+  FakeRoundRunner runner(
+      [](const fl::RoundSpec&) -> Result<fl::CollectedRound> {
+        return Status::Internal("round failed");
+      });
   Result<OptimizePhaseOutput> out = RunOptimizePhase(
       runner, BaseOptimizeInput(&rng, std::chrono::steady_clock::now()),
       PhaseRoundOptions{});

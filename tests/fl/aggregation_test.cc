@@ -2,133 +2,77 @@
 
 #include <gtest/gtest.h>
 
-#include "core/rng.h"
-#include "ml/linear/lasso.h"
-#include "ml/tree/gbdt.h"
+#include <vector>
 
 namespace fedfc::fl {
 namespace {
 
-struct Problem {
-  Matrix x;
-  std::vector<double> y;
-};
-
-Problem MakeProblem(double slope, uint64_t seed) {
-  Rng rng(seed);
-  Problem p;
-  p.x = Matrix(100, 1);
-  p.y.resize(100);
-  for (size_t i = 0; i < 100; ++i) {
-    p.x(i, 0) = rng.Uniform(-2, 2);
-    p.y[i] = slope * p.x(i, 0);
-  }
-  return p;
+TEST(ScalarAccumulatorTest, RawWeightMeanIsEquationOne) {
+  // Raw example counts |D_j|, never normalized by the caller.
+  ScalarAccumulator acc;
+  acc.Add(30.0, 1.0);
+  acc.Add(10.0, 5.0);
+  acc.Add(60.0, -2.0);
+  Result<double> mean = acc.Mean();
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_NEAR(*mean, (30.0 * 1.0 + 10.0 * 5.0 + 60.0 * -2.0) / 100.0, 1e-12);
 }
 
-TEST(AggregateModelsTest, LinearModelsFedAvg) {
-  // Two clients with different slopes; equal weights -> averaged slope.
-  Problem p1 = MakeProblem(2.0, 1);
-  Problem p2 = MakeProblem(4.0, 2);
-  std::vector<std::unique_ptr<ml::Regressor>> models;
-  ml::LassoRegressor::Config cfg;
-  cfg.alpha = 1e-5;
-  for (const Problem* p : {&p1, &p2}) {
-    auto model = std::make_unique<ml::LassoRegressor>(cfg);
-    Rng rng(3);
-    ASSERT_TRUE(model->Fit(p->x, p->y, &rng).ok());
-    models.push_back(std::move(model));
-  }
-  Result<std::unique_ptr<ml::Regressor>> global =
-      AggregateModels(std::move(models), {0.5, 0.5});
-  ASSERT_TRUE(global.ok());
-  Matrix probe({{1.0}});
-  EXPECT_NEAR((*global)->Predict(probe)[0], 3.0, 0.1);
+TEST(ScalarAccumulatorTest, WeightScaleDoesNotMatter) {
+  // alpha_j = |D_j| / |D|: scaling every weight leaves the mean unchanged.
+  ScalarAccumulator raw;
+  ScalarAccumulator scaled;
+  raw.Add(3.0, 2.0);
+  raw.Add(1.0, 6.0);
+  scaled.Add(3000.0, 2.0);
+  scaled.Add(1000.0, 6.0);
+  ASSERT_TRUE(raw.Mean().ok());
+  ASSERT_TRUE(scaled.Mean().ok());
+  EXPECT_NEAR(*raw.Mean(), 3.0, 1e-12);
+  EXPECT_NEAR(*scaled.Mean(), *raw.Mean(), 1e-12);
 }
 
-TEST(AggregateModelsTest, WeightsBiasTheAverage) {
-  Problem p1 = MakeProblem(2.0, 4);
-  Problem p2 = MakeProblem(4.0, 5);
-  std::vector<std::unique_ptr<ml::Regressor>> models;
-  ml::LassoRegressor::Config cfg;
-  cfg.alpha = 1e-5;
-  for (const Problem* p : {&p1, &p2}) {
-    auto model = std::make_unique<ml::LassoRegressor>(cfg);
-    Rng rng(6);
-    ASSERT_TRUE(model->Fit(p->x, p->y, &rng).ok());
-    models.push_back(std::move(model));
-  }
-  Result<std::unique_ptr<ml::Regressor>> global =
-      AggregateModels(std::move(models), {1.0, 0.0});
-  ASSERT_TRUE(global.ok());
-  Matrix probe({{1.0}});
-  EXPECT_NEAR((*global)->Predict(probe)[0], 2.0, 0.1);
+TEST(ScalarAccumulatorTest, MeanOfNothingIsInvalidArgument) {
+  ScalarAccumulator acc;
+  EXPECT_EQ(acc.Mean().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(AggregateModelsTest, TreeModelsBecomeEnsemble) {
-  Problem p1 = MakeProblem(2.0, 7);
-  Problem p2 = MakeProblem(4.0, 8);
-  std::vector<std::unique_ptr<ml::Regressor>> models;
-  ml::GbdtConfig cfg;
-  cfg.n_estimators = 20;
-  for (const Problem* p : {&p1, &p2}) {
-    auto model = std::make_unique<ml::GbdtRegressor>(cfg);
-    Rng rng(9);
-    ASSERT_TRUE(model->Fit(p->x, p->y, &rng).ok());
-    models.push_back(std::move(model));
-  }
-  Result<std::unique_ptr<ml::Regressor>> global =
-      AggregateModels(std::move(models), {0.5, 0.5});
-  ASSERT_TRUE(global.ok());
-  EXPECT_NE((*global)->Name().find("Ensemble"), std::string::npos);
-  Matrix probe({{1.0}});
-  EXPECT_NEAR((*global)->Predict(probe)[0], 3.0, 0.5);
+TEST(TensorAccumulatorTest, RawWeightElementwiseMean) {
+  TensorAccumulator acc;
+  ASSERT_TRUE(acc.Add(30.0, {1.0, 2.0, 0.0}).ok());
+  ASSERT_TRUE(acc.Add(10.0, {5.0, -2.0, 4.0}).ok());
+  Result<std::vector<double>> mean = acc.Mean();
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  ASSERT_EQ(mean->size(), 3u);
+  EXPECT_NEAR((*mean)[0], (30.0 * 1.0 + 10.0 * 5.0) / 40.0, 1e-12);
+  EXPECT_NEAR((*mean)[1], (30.0 * 2.0 + 10.0 * -2.0) / 40.0, 1e-12);
+  EXPECT_NEAR((*mean)[2], (10.0 * 4.0) / 40.0, 1e-12);
 }
 
-TEST(AggregateModelsTest, RejectsBadInputs) {
-  EXPECT_FALSE(AggregateModels({}, {}).ok());
+TEST(TensorAccumulatorTest, MeanOfNothingIsInvalidArgument) {
+  TensorAccumulator acc;
+  EXPECT_EQ(acc.Mean().status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(EnsembleRegressorTest, WeightedAverageOfMembers) {
-  Problem p1 = MakeProblem(1.0, 10);
-  ml::LassoRegressor::Config cfg;
-  cfg.alpha = 1e-5;
-  auto m1 = std::make_unique<ml::LassoRegressor>(cfg);
-  auto m2 = std::make_unique<ml::LassoRegressor>(cfg);
-  Rng rng(11);
-  ASSERT_TRUE(m1->Fit(p1.x, p1.y, &rng).ok());
-  Problem p2 = MakeProblem(3.0, 12);
-  ASSERT_TRUE(m2->Fit(p2.x, p2.y, &rng).ok());
-
-  EnsembleRegressor ensemble;
-  ensemble.Add(std::move(m1), 3.0);
-  ensemble.Add(std::move(m2), 1.0);
-  EXPECT_EQ(ensemble.size(), 2u);
-  Matrix probe({{1.0}});
-  // (3 * 1.0 + 1 * 3.0) / 4 = 1.5.
-  EXPECT_NEAR(ensemble.Predict(probe)[0], 1.5, 0.05);
+TEST(TensorAccumulatorTest, SizeMismatchIsRejectedAndLeavesTheFoldIntact) {
+  TensorAccumulator acc;
+  ASSERT_TRUE(acc.Add(1.0, {2.0, 4.0}).ok());
+  Status bad = acc.Add(1.0, {1.0, 2.0, 3.0});
+  EXPECT_EQ(bad.code(), StatusCode::kInvalidArgument);
+  Result<std::vector<double>> mean = acc.Mean();
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_EQ(*mean, (std::vector<double>{2.0, 4.0}));
 }
 
-TEST(EnsembleRegressorTest, FitIsFailedPrecondition) {
-  EnsembleRegressor ensemble;
-  Matrix x(2, 1);
-  Rng rng(13);
-  EXPECT_EQ(ensemble.Fit(x, {1, 2}, &rng).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST(EnsembleRegressorTest, CopyIsDeep) {
-  Problem p = MakeProblem(2.0, 14);
-  ml::LassoRegressor::Config cfg;
-  cfg.alpha = 1e-5;
-  auto m = std::make_unique<ml::LassoRegressor>(cfg);
-  Rng rng(15);
-  ASSERT_TRUE(m->Fit(p.x, p.y, &rng).ok());
-  EnsembleRegressor ensemble;
-  ensemble.Add(std::move(m), 1.0);
-  EnsembleRegressor copy = ensemble;
-  Matrix probe({{1.0}});
-  EXPECT_DOUBLE_EQ(copy.Predict(probe)[0], ensemble.Predict(probe)[0]);
+TEST(TensorAccumulatorTest, EmptyFirstTensorPinsTheShape) {
+  // A zero-length first tensor fixes the shape at zero: a later non-empty
+  // tensor is a mismatch, not a silent re-initialization.
+  TensorAccumulator acc;
+  ASSERT_TRUE(acc.Add(1.0, {}).ok());
+  EXPECT_EQ(acc.Add(1.0, {1.0}).code(), StatusCode::kInvalidArgument);
+  Result<std::vector<double>> mean = acc.Mean();
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_TRUE(mean->empty());
 }
 
 }  // namespace

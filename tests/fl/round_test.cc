@@ -10,6 +10,7 @@
 
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -120,9 +121,9 @@ TEST(RoundTest, InvalidParticipationFractionRejected) {
   auto server = MakeServer({1.0}, {10});
   RoundSpec spec("any", Payload());
   spec.policy.participation_fraction = 0.0;
-  EXPECT_FALSE(server->RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(*server, spec).ok());
   spec.policy.participation_fraction = 1.5;
-  EXPECT_FALSE(server->RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(*server, spec).ok());
 }
 
 TEST(RoundTest, SampledSubsetRenormalizesWeights) {
@@ -131,30 +132,30 @@ TEST(RoundTest, SampledSubsetRenormalizesWeights) {
   RoundSpec spec("any", Payload());
   spec.policy.participation_fraction = 0.5;
   spec.sampling_seed = 7;
-  Result<RoundResult> round = server->RunRound(spec);
+  Result<CollectedRound> round = CollectRound(*server, spec);
   ASSERT_TRUE(round.ok());
   ASSERT_EQ(round->replies.size(), 3u);
   EXPECT_EQ(round->trace.sampled_clients, 3u);
   EXPECT_EQ(round->trace.messages, 3u);  // Unsampled clients see no traffic.
-  double total = 0.0;
-  for (const auto& r : round->replies) total += r.weight;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  // Each weight is |D_j| over the sampled total, not the population total.
-  size_t sampled_examples = 0;
+  // Each reply carries its raw |D_j|; client j answers value j.
+  double sampled_examples = 0.0;
+  double weighted_sum = 0.0;
   for (const auto& r : round->replies) {
-    sampled_examples += (r.client_index + 1) * 10;
+    const double size = static_cast<double>((r.client_index + 1) * 10);
+    EXPECT_EQ(r.weight, size);
+    sampled_examples += size;
+    weighted_sum += size * static_cast<double>(r.client_index);
   }
-  for (const auto& r : round->replies) {
-    EXPECT_NEAR(r.weight,
-                static_cast<double>((r.client_index + 1) * 10) /
-                    static_cast<double>(sampled_examples),
-                1e-12);
-  }
+  // Equation 1 renormalizes over the sampled total, not the population's.
+  Result<double> mean = WeightedMean(round->replies, "value");
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_NEAR(*mean, weighted_sum / sampled_examples, 1e-12);
 }
 
 TEST(RoundTest, AllClientsFailingIsError) {
   auto server = MakeServer({1.0, 2.0}, {10, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("fail", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("fail", Payload()));
   ASSERT_FALSE(round.ok());
   EXPECT_NE(round.status().ToString().find("all clients failed"),
             std::string::npos);
@@ -173,13 +174,16 @@ TEST(RoundTest, RetriedClientContributesExactlyOnce) {
                 sizes);
   RoundSpec spec("any", Payload());
   spec.policy.max_retries = 2;
-  Result<RoundResult> round = server.RunRound(spec);
+  Result<CollectedRound> round = CollectRound(server, spec);
   ASSERT_TRUE(round.ok());
   // Every client dropped once, retried, and landed exactly one reply with
-  // the full-participation weights.
+  // its full |D_j|: the mean is (30 * 1 + 10 * 2) / 40.
   ASSERT_EQ(round->replies.size(), 2u);
-  EXPECT_NEAR(round->replies[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR(round->replies[1].weight, 0.25, 1e-12);
+  EXPECT_EQ(round->replies[0].weight, 30.0);
+  EXPECT_EQ(round->replies[1].weight, 10.0);
+  Result<double> mean = WeightedMean(round->replies, "value");
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_NEAR(*mean, 1.25, 1e-12);
   EXPECT_EQ(round->trace.retries, 2u);
   ASSERT_EQ(round->outcomes.size(), 2u);
   for (const auto& outcome : round->outcomes) {
@@ -208,7 +212,7 @@ TEST(RoundTest, RetryBudgetExhaustedMarksClientFailed) {
                 sizes);
   RoundSpec spec("any", Payload());
   spec.policy.max_retries = 1;
-  EXPECT_FALSE(server.RunRound(spec).ok());
+  EXPECT_FALSE(CollectRound(server, spec).ok());
 }
 
 TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
@@ -217,7 +221,7 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
                               {false, true, false});
   RoundSpec spec("any", Payload());
   spec.policy.min_success_fraction = 0.6;
-  Result<RoundResult> round = ok_server->RunRound(spec);
+  Result<CollectedRound> round = CollectRound(*ok_server, spec);
   ASSERT_TRUE(round.ok());  // 2/3 >= 0.6.
   EXPECT_EQ(round->trace.ok_clients, 2u);
   EXPECT_EQ(round->trace.failed_clients, 1u);
@@ -225,7 +229,7 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
   auto strict_server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10}, 1,
                                   {false, true, false});
   spec.policy.min_success_fraction = 0.9;
-  Result<RoundResult> strict = strict_server->RunRound(spec);
+  Result<CollectedRound> strict = CollectRound(*strict_server, spec);
   ASSERT_FALSE(strict.ok());  // 2/3 < 0.9.
   EXPECT_NE(strict.status().ToString().find("below success threshold"),
             std::string::npos);
@@ -233,7 +237,8 @@ TEST(RoundTest, MinSuccessFractionRejectsTooPartialRounds) {
 
 TEST(RoundTest, TraceAccountsMessagesAndBytes) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->trace.sampled_clients, 3u);
   EXPECT_EQ(round->trace.ok_clients, 3u);
@@ -243,7 +248,8 @@ TEST(RoundTest, TraceAccountsMessagesAndBytes) {
   EXPECT_GT(round->trace.bytes_to_server, 0u);
   EXPECT_GE(round->trace.wall_seconds, 0.0);
   // A second round accumulates fresh deltas, not the running totals.
-  Result<RoundResult> second = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> second =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second->trace.messages, 3u);
 }
@@ -251,7 +257,8 @@ TEST(RoundTest, TraceAccountsMessagesAndBytes) {
 TEST(RoundTest, FailedExecutesCountInTransportStats) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10}, 1,
                            {false, true, false});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   // A handler error is a generic failure, not a timeout: the two counters
   // are disjoint, in the stats and in the round's trace deltas.
@@ -277,7 +284,8 @@ TEST(RoundTest, TimedOutHandlerCountsAsTimeout) {
       std::make_shared<SlowClient>()};
   Server server(std::make_unique<InProcessTransport>(std::move(clients)),
                 {10, 10});
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(server.transport_stats().timeouts, 1u);
   EXPECT_EQ(server.transport_stats().failures, 0u);
@@ -296,7 +304,8 @@ TEST(RoundTest, FlakyTransportReportsInjectedFailures) {
   auto inner = std::make_unique<InProcessTransport>(std::move(clients));
   Server server(std::make_unique<FlakyTransport>(std::move(inner), 0.4, 7),
                 sizes);
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   // With rate 0.4 over 20 clients some injections are certain for this seed;
   // the decorator must surface them even though the inner transport never

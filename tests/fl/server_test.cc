@@ -5,7 +5,9 @@
 #include <chrono>
 #include <thread>
 
+#include "fl/aggregation.h"
 #include "fl/transport.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -60,38 +62,47 @@ TEST(ServerTest, BroadcastReachesAllClients) {
   auto server = MakeServer({1.0, 2.0, 3.0}, {10, 10, 10});
   Payload request;
   request.SetString("echo", "hi");
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", request));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", request));
   ASSERT_TRUE(round.ok());
   EXPECT_EQ(round->replies.size(), 3u);
   for (const auto& r : round->replies) {
     EXPECT_EQ(*r.payload.GetString("echo"), "hi");
-    EXPECT_NEAR(r.weight, 1.0 / 3.0, 1e-12);
+    EXPECT_EQ(r.weight, 10.0);  // The raw |D_j|.
   }
 }
 
 TEST(ServerTest, WeightsFollowClientSizes) {
   auto server = MakeServer({1.0, 2.0}, {30, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
-  EXPECT_NEAR(round->replies[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR(round->replies[1].weight, 0.25, 1e-12);
+  EXPECT_EQ(round->replies[0].weight, 30.0);
+  EXPECT_EQ(round->replies[1].weight, 10.0);
 }
 
 TEST(ServerTest, AggregateScalarIsWeightedMean) {
   auto server = MakeServer({1.0, 5.0}, {30, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
-  Result<double> agg = Server::AggregateScalar(round->replies, "value");
+  Result<double> agg = WeightedMean(round->replies, "value");
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR(*agg, 0.75 * 1.0 + 0.25 * 5.0, 1e-12);
 }
 
 TEST(ServerTest, AggregateTensorIsElementwiseWeightedMean) {
   auto server = MakeServer({1.0, 3.0}, {10, 10});
-  Result<RoundResult> round = server->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(*server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
-  Result<std::vector<double>> agg =
-      Server::AggregateTensor(round->replies, "vec");
+  TensorAccumulator acc;
+  for (const ClientReply& r : round->replies) {
+    Result<std::vector<double>> vec = r.payload.GetTensor("vec");
+    ASSERT_TRUE(vec.ok()) << vec.status();
+    ASSERT_TRUE(acc.Add(r.weight, *vec).ok());
+  }
+  Result<std::vector<double>> agg = acc.Mean();
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR((*agg)[0], 2.0, 1e-12);
   EXPECT_NEAR((*agg)[1], 4.0, 1e-12);
@@ -99,13 +110,13 @@ TEST(ServerTest, AggregateTensorIsElementwiseWeightedMean) {
 
 TEST(ServerTest, AllClientsFailingIsError) {
   auto server = MakeServer({1.0, 2.0}, {10, 10});
-  EXPECT_FALSE(server->RunRound(RoundSpec("fail", Payload())).ok());
+  EXPECT_FALSE(CollectRound(*server, RoundSpec("fail", Payload())).ok());
 }
 
 TEST(ServerTest, TransportStatsAccumulate) {
   auto server = MakeServer({1.0}, {10});
   EXPECT_EQ(server->transport_stats().messages, 0u);
-  ASSERT_TRUE(server->RunRound(RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
   EXPECT_EQ(server->transport_stats().messages, 1u);
   EXPECT_GT(server->transport_stats().bytes_to_server, 0u);
 }
@@ -126,14 +137,15 @@ TEST(ConcurrentServerTest, RepliesArriveInClientIndexOrder) {
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
   EXPECT_EQ(server.num_threads(), 4u);
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   ASSERT_EQ(round->replies.size(), kN);
   for (size_t j = 0; j < kN; ++j) {
     EXPECT_EQ(round->replies[j].client_index, j);
     EXPECT_DOUBLE_EQ(*round->replies[j].payload.GetDouble("value"),
                      static_cast<double>(j));
-    EXPECT_NEAR(round->replies[j].weight, 1.0 / kN, 1e-12);
+    EXPECT_EQ(round->replies[j].weight, 10.0);
   }
 }
 
@@ -151,8 +163,10 @@ TEST(ConcurrentServerTest, MatchesSequentialBroadcast) {
   };
   auto sequential = make(1);
   auto parallel = make(4);
-  Result<RoundResult> a = sequential->RunRound(RoundSpec("any", Payload()));
-  Result<RoundResult> b = parallel->RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> a =
+      CollectRound(*sequential, RoundSpec("any", Payload()));
+  Result<CollectedRound> b =
+      CollectRound(*parallel, RoundSpec("any", Payload()));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ASSERT_EQ(a->replies.size(), b->replies.size());
@@ -162,8 +176,8 @@ TEST(ConcurrentServerTest, MatchesSequentialBroadcast) {
     EXPECT_DOUBLE_EQ(*a->replies[j].payload.GetDouble("value"),
                      *b->replies[j].payload.GetDouble("value"));
   }
-  Result<double> agg_a = Server::AggregateScalar(a->replies, "value");
-  Result<double> agg_b = Server::AggregateScalar(b->replies, "value");
+  Result<double> agg_a = WeightedMean(a->replies, "value");
+  Result<double> agg_b = WeightedMean(b->replies, "value");
   ASSERT_TRUE(agg_a.ok());
   ASSERT_TRUE(agg_b.ok());
   EXPECT_DOUBLE_EQ(*agg_a, *agg_b);
@@ -180,18 +194,16 @@ TEST(ConcurrentServerTest, PartialParticipationStillAggregates) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   ASSERT_EQ(round->replies.size(), 3u);
   EXPECT_EQ(round->replies[0].client_index, 0u);
   EXPECT_EQ(round->replies[1].client_index, 1u);
   EXPECT_EQ(round->replies[2].client_index, 3u);
-  double total = 0.0;
-  for (const auto& r : round->replies) total += r.weight;
-  EXPECT_NEAR(total, 1.0, 1e-12);
-  // Weights renormalize over the 70 responding examples.
-  EXPECT_NEAR(round->replies[2].weight, 40.0 / 70.0, 1e-12);
-  Result<double> agg = Server::AggregateScalar(round->replies, "value");
+  EXPECT_EQ(round->replies[2].weight, 40.0);
+  // The mean renormalizes over the 70 responding examples.
+  Result<double> agg = WeightedMean(round->replies, "value");
   ASSERT_TRUE(agg.ok());
   EXPECT_NEAR(*agg, (10.0 * 0 + 20.0 * 1 + 40.0 * 3) / 70.0, 1e-12);
 }
@@ -205,7 +217,7 @@ TEST(ConcurrentServerTest, AllClientsFailingIsStillError) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/3);
-  EXPECT_FALSE(server.RunRound(RoundSpec("fail", Payload())).ok());
+  EXPECT_FALSE(CollectRound(server, RoundSpec("fail", Payload())).ok());
 }
 
 TEST(ConcurrentServerTest, TransportStatsCountEveryMessage) {
@@ -219,8 +231,8 @@ TEST(ConcurrentServerTest, TransportStatsCountEveryMessage) {
   }
   Server server(std::make_unique<InProcessTransport>(std::move(clients)), sizes,
                 /*num_threads=*/4);
-  ASSERT_TRUE(server.RunRound(RoundSpec("any", Payload())).ok());
-  ASSERT_TRUE(server.RunRound(RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(server, RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(server, RoundSpec("any", Payload())).ok());
   TransportStats stats = server.transport_stats();
   EXPECT_EQ(stats.messages, 2 * kN);
   EXPECT_GT(stats.bytes_to_server, 0u);
@@ -231,10 +243,10 @@ TEST(ConcurrentServerTest, SetNumThreadsSwitchesModes) {
   EXPECT_EQ(server->num_threads(), 1u);
   server->set_num_threads(4);
   EXPECT_EQ(server->num_threads(), 4u);
-  ASSERT_TRUE(server->RunRound(RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
   server->set_num_threads(1);
   EXPECT_EQ(server->num_threads(), 1u);
-  ASSERT_TRUE(server->RunRound(RoundSpec("any", Payload())).ok());
+  ASSERT_TRUE(CollectRound(*server, RoundSpec("any", Payload())).ok());
 }
 
 TEST(TransportTest, OutOfRangeClientIndex) {
@@ -254,14 +266,21 @@ TEST(FlakyTransportTest, PartialFailuresTolerated) {
   }
   auto inner = std::make_unique<InProcessTransport>(std::move(clients));
   Server server(std::make_unique<FlakyTransport>(std::move(inner), 0.4, 7), sizes);
-  Result<RoundResult> round = server.RunRound(RoundSpec("any", Payload()));
+  Result<CollectedRound> round =
+      CollectRound(server, RoundSpec("any", Payload()));
   ASSERT_TRUE(round.ok());
   EXPECT_LT(round->replies.size(), 10u);  // Some failed...
   EXPECT_GE(round->replies.size(), 1u);   // ...but not all.
-  // Remaining weights renormalize to 1.
-  double total = 0.0;
-  for (const auto& r : round->replies) total += r.weight;
-  EXPECT_NEAR(total, 1.0, 1e-12);
+  // The mean renormalizes over the survivors: equal sizes make it their
+  // plain average.
+  double sum = 0.0;
+  for (const auto& r : round->replies) {
+    EXPECT_EQ(r.weight, 10.0);
+    sum += *r.payload.GetDouble("value");
+  }
+  Result<double> agg = WeightedMean(round->replies, "value");
+  ASSERT_TRUE(agg.ok()) << agg.status();
+  EXPECT_NEAR(*agg, sum / static_cast<double>(round->replies.size()), 1e-12);
 }
 
 TEST(FlakyTransportTest, ZeroRateNeverFails) {

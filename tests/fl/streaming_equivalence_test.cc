@@ -1,11 +1,10 @@
-/// Property tests for the streaming reply pipeline: consumer-based
-/// aggregation must be observably identical to the legacy buffered
-/// RoundResult path across seeded federation shapes, failure patterns, and
-/// thread counts — the bit-identity contract the O(1)-memory refactor rides
-/// on. Flaky-transport comparisons hold the Execute call order fixed
-/// (sequential servers, same seed): FlakyTransport's shared RNG assigns
-/// failures by call order, so only an order-preserving pair of runs sees
-/// the same fault pattern.
+/// Property tests for the streaming reply pipeline: across seeded federation
+/// shapes, failure patterns, and thread counts, the consumed sequence is
+/// thread-invariant bit for bit, and every streaming fold equals Equation 1
+/// in closed form over the clients that answered. Flaky-transport
+/// comparisons hold the Execute call order fixed (sequential servers, same
+/// seed): FlakyTransport's shared RNG assigns failures by call order, so
+/// only an order-preserving pair of runs sees the same fault pattern.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +19,7 @@
 #include "fl/round.h"
 #include "fl/server.h"
 #include "fl/transport.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::fl {
 namespace {
@@ -82,6 +82,30 @@ struct FederationShape {
       shape.fail.push_back(with_failures && j > 0 && rng.Bernoulli(0.3));
     }
     return shape;
+  }
+
+  /// Equation 1 in closed form over the clients `ok` marks as answered:
+  /// sum(|D_j| * x_j) / sum(|D_j|), for the scalar and each tensor element.
+  struct Expected {
+    double scalar = 0.0;
+    std::vector<double> tensor;
+  };
+  [[nodiscard]] Expected ClosedForm(const std::vector<bool>& ok) const {
+    double total = 0.0;
+    double scalar_sum = 0.0;
+    std::vector<double> tensor_sum(tensors.front().size(), 0.0);
+    for (size_t j = 0; j < sizes.size(); ++j) {
+      if (!ok[j]) continue;
+      const double w = static_cast<double>(sizes[j]);
+      total += w;
+      scalar_sum += w * values[j];
+      for (size_t i = 0; i < tensor_sum.size(); ++i) {
+        tensor_sum[i] += w * tensors[j][i];
+      }
+    }
+    Expected expected{scalar_sum / total, std::move(tensor_sum)};
+    for (double& v : expected.tensor) v /= total;
+    return expected;
   }
 
   [[nodiscard]] std::unique_ptr<Server> MakeServer(size_t num_threads) const {
@@ -190,43 +214,11 @@ TEST(StreamingEquivalenceTest, ConsumedSequenceIsAscendingAndThreadInvariant) {
   }
 }
 
-TEST(StreamingEquivalenceTest, BufferedOverloadMatchesLegacyRenormalization) {
-  for (uint64_t seed : {5u, 6u, 7u}) {
-    for (bool with_failures : {false, true}) {
-      FederationShape shape = FederationShape::Make(seed, with_failures);
-      Result<RoundResult> round =
-          shape.MakeServer(1)->RunRound(PermissiveSpec());
-      ASSERT_TRUE(round.ok()) << round.status();
-
-      // Weights must be the respondents' sizes renormalized in ascending
-      // index order — the exact arithmetic the pre-streaming server used.
-      double total = 0.0;
-      for (const ClientReply& r : round->replies) {
-        total += static_cast<double>(shape.sizes[r.client_index]);
-      }
-      for (const ClientReply& r : round->replies) {
-        EXPECT_DOUBLE_EQ(
-            r.weight, static_cast<double>(shape.sizes[r.client_index]) / total);
-      }
-    }
-  }
-}
-
-TEST(StreamingEquivalenceTest, StreamingFoldsMatchBufferedAggregation) {
+TEST(StreamingEquivalenceTest, StreamingFoldsMatchClosedFormEquationOne) {
   for (uint64_t seed : {101u, 202u, 303u, 404u, 505u}) {
     for (bool with_failures : {false, true}) {
       for (size_t num_threads : {1u, 4u}) {
         FederationShape shape = FederationShape::Make(seed, with_failures);
-
-        Result<RoundResult> buffered =
-            shape.MakeServer(num_threads)->RunRound(PermissiveSpec());
-        ASSERT_TRUE(buffered.ok()) << buffered.status();
-        Result<double> legacy_scalar =
-            Server::AggregateScalar(buffered->replies, "value");
-        Result<std::vector<double>> legacy_tensor =
-            Server::AggregateTensor(buffered->replies, "params");
-        ASSERT_TRUE(legacy_scalar.ok()) << legacy_scalar.status();
-        ASSERT_TRUE(legacy_tensor.ok()) << legacy_tensor.status();
 
         FoldingConsumer fold;
         Result<RoundSummary> streamed =
@@ -237,13 +229,15 @@ TEST(StreamingEquivalenceTest, StreamingFoldsMatchBufferedAggregation) {
         ASSERT_TRUE(fold_scalar.ok()) << fold_scalar.status();
         ASSERT_TRUE(fold_tensor.ok()) << fold_tensor.status();
 
-        // Raw-weight fold vs normalized-weight fold: the renormalization is
-        // a scale factor on both the numerator and denominator, so the two
-        // agree to ulps.
-        EXPECT_NEAR(*fold_scalar, *legacy_scalar, 1e-12);
-        ASSERT_EQ(fold_tensor->size(), legacy_tensor->size());
+        // The shape's failure pattern is the only thing deciding who
+        // answers, so the closed form runs over exactly those clients.
+        std::vector<bool> ok(shape.sizes.size());
+        for (size_t j = 0; j < ok.size(); ++j) ok[j] = !shape.fail[j];
+        FederationShape::Expected expected = shape.ClosedForm(ok);
+        EXPECT_NEAR(*fold_scalar, expected.scalar, 1e-12);
+        ASSERT_EQ(fold_tensor->size(), expected.tensor.size());
         for (size_t i = 0; i < fold_tensor->size(); ++i) {
-          EXPECT_NEAR((*fold_tensor)[i], (*legacy_tensor)[i], 1e-12)
+          EXPECT_NEAR((*fold_tensor)[i], expected.tensor[i], 1e-12)
               << "element " << i;
         }
       }
@@ -253,8 +247,9 @@ TEST(StreamingEquivalenceTest, StreamingFoldsMatchBufferedAggregation) {
 
 TEST(StreamingEquivalenceTest, FlakyRoundsAgreeWhenCallOrderIsFixed) {
   // Both runs sequential with the same flaky seed: the Execute call
-  // sequences are identical, so the injected fault patterns are identical,
-  // and the two paths must agree on outcomes and aggregates.
+  // sequences are identical, so the injected fault patterns are identical.
+  // The two runs must agree on outcomes, and the fold must equal Equation 1
+  // over the clients that survived the faults.
   for (uint64_t seed : {9u, 10u}) {
     FederationShape shape = FederationShape::Make(seed, /*with_failures=*/false);
     auto make_flaky_server = [&shape]() {
@@ -271,38 +266,25 @@ TEST(StreamingEquivalenceTest, FlakyRoundsAgreeWhenCallOrderIsFixed) {
           shape.sizes, /*num_threads=*/1);
     };
 
-    Result<RoundResult> buffered = make_flaky_server()->RunRound(PermissiveSpec());
+    Result<CollectedRound> collected =
+        CollectRound(*make_flaky_server(), PermissiveSpec());
     FoldingConsumer fold;
     Result<RoundSummary> streamed =
         make_flaky_server()->RunRound(PermissiveSpec(), fold);
 
-    ASSERT_EQ(buffered.ok(), streamed.ok());
-    if (!buffered.ok()) continue;  // Both rejected the same partial round.
-    ASSERT_EQ(buffered->outcomes.size(), streamed->outcomes.size());
-    for (size_t j = 0; j < buffered->outcomes.size(); ++j) {
-      EXPECT_EQ(buffered->outcomes[j].ok, streamed->outcomes[j].ok) << "client " << j;
+    ASSERT_EQ(collected.ok(), streamed.ok());
+    if (!collected.ok()) continue;  // Both rejected the same partial round.
+    ASSERT_EQ(collected->outcomes.size(), streamed->outcomes.size());
+    std::vector<bool> ok(shape.sizes.size(), false);
+    for (size_t j = 0; j < collected->outcomes.size(); ++j) {
+      EXPECT_EQ(collected->outcomes[j].ok, streamed->outcomes[j].ok)
+          << "client " << j;
+      ok[collected->outcomes[j].client_index] = collected->outcomes[j].ok;
     }
-    Result<double> legacy = Server::AggregateScalar(buffered->replies, "value");
     Result<double> fold_mean = fold.ScalarMean();
-    ASSERT_TRUE(legacy.ok()) << legacy.status();
     ASSERT_TRUE(fold_mean.ok()) << fold_mean.status();
-    EXPECT_NEAR(*fold_mean, *legacy, 1e-12);
+    EXPECT_NEAR(*fold_mean, shape.ClosedForm(ok).scalar, 1e-12);
   }
-}
-
-TEST(StreamingEquivalenceTest, FeedRoundResultReplaysABufferedRound) {
-  FederationShape shape = FederationShape::Make(77, /*with_failures=*/true);
-  Result<RoundResult> round = shape.MakeServer(1)->RunRound(PermissiveSpec());
-  ASSERT_TRUE(round.ok()) << round.status();
-  const size_t n_replies = round->replies.size();
-  const size_t ok_clients = round->trace.ok_clients;
-
-  RecordingConsumer recorder;
-  Result<RoundSummary> summary = FeedRoundResult(std::move(*round), recorder);
-  ASSERT_TRUE(summary.ok()) << summary.status();
-  EXPECT_EQ(recorder.finish_calls(), 1u);
-  EXPECT_EQ(recorder.entries().size(), n_replies);
-  EXPECT_EQ(summary->trace.ok_clients, ok_clients);
 }
 
 TEST(StreamingEquivalenceTest, ConsumeErrorAbortsTheRound) {

@@ -254,11 +254,36 @@ TEST(LinearBaseTest, ParameterRoundTripPreservesPredictions) {
 }
 
 TEST(LinearBaseTest, AllLinearModelsSupportAveraging) {
-  EXPECT_TRUE(LassoRegressor().SupportsParameterAveraging());
-  EXPECT_TRUE(LinearSvrRegressor().SupportsParameterAveraging());
-  EXPECT_TRUE(ElasticNetCvRegressor().SupportsParameterAveraging());
-  EXPECT_TRUE(HuberRegressor().SupportsParameterAveraging());
-  EXPECT_TRUE(QuantileRegressor().SupportsParameterAveraging());
+  // FedAvg of linear parameters is prediction averaging: loading the mean of
+  // two fitted models' parameter vectors predicts the mean of their outputs.
+  LinearProblem p1 = MakeProblem(150, 0.3, 40);
+  LinearProblem p2 = MakeProblem(150, 0.3, 41);
+  std::vector<std::unique_ptr<Regressor>> families;
+  families.push_back(std::make_unique<LassoRegressor>());
+  families.push_back(std::make_unique<LinearSvrRegressor>());
+  families.push_back(std::make_unique<ElasticNetCvRegressor>());
+  families.push_back(std::make_unique<HuberRegressor>());
+  families.push_back(std::make_unique<QuantileRegressor>());
+  for (const std::unique_ptr<Regressor>& family : families) {
+    std::unique_ptr<Regressor> a = family->Clone();
+    std::unique_ptr<Regressor> b = family->Clone();
+    Rng rng(42);
+    ASSERT_TRUE(a->Fit(p1.x, p1.y, &rng).ok()) << family->Name();
+    ASSERT_TRUE(b->Fit(p2.x, p2.y, &rng).ok()) << family->Name();
+    std::vector<double> pa = a->GetParameters();
+    std::vector<double> pb = b->GetParameters();
+    ASSERT_EQ(pa.size(), pb.size()) << family->Name();
+    std::vector<double> avg(pa.size());
+    for (size_t i = 0; i < avg.size(); ++i) avg[i] = 0.5 * (pa[i] + pb[i]);
+    std::unique_ptr<Regressor> global = a->Clone();
+    ASSERT_TRUE(global->SetParameters(avg).ok()) << family->Name();
+    std::vector<double> ya = a->Predict(p1.x);
+    std::vector<double> yb = b->Predict(p1.x);
+    std::vector<double> yg = global->Predict(p1.x);
+    for (size_t i = 0; i < yg.size(); ++i) {
+      EXPECT_NEAR(yg[i], 0.5 * (ya[i] + yb[i]), 1e-9) << family->Name();
+    }
+  }
 }
 
 TEST(LinearBaseTest, CloneIsIndependentDeepCopy) {

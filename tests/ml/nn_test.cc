@@ -226,8 +226,26 @@ TEST(NBeatsTest, SetParametersRejectsWrongSize) {
 }
 
 TEST(NBeatsTest, SupportsParameterAveraging) {
-  NBeatsRegressor model;
-  EXPECT_TRUE(model.SupportsParameterAveraging());
+  // FedAvg needs same-length flat parameters that load back: the elementwise
+  // mean of two same-config models is itself a loadable model.
+  ml::NBeatsConfig cfg = TinyNBeats();
+  NBeatsRegressor a(cfg);
+  NBeatsRegressor b(cfg);
+  Rng rng_a(10);
+  Rng rng_b(11);
+  ASSERT_TRUE(a.Build(8, &rng_a).ok());
+  ASSERT_TRUE(b.Build(8, &rng_b).ok());
+  std::vector<double> pa = a.GetParameters();
+  std::vector<double> pb = b.GetParameters();
+  ASSERT_EQ(pa.size(), pb.size());
+  EXPECT_NE(pa, pb);  // Differently seeded initializations.
+  std::vector<double> avg(pa.size());
+  for (size_t i = 0; i < avg.size(); ++i) avg[i] = 0.5 * (pa[i] + pb[i]);
+  NBeatsRegressor global(cfg);
+  Rng rng_g(12);
+  ASSERT_TRUE(global.Build(8, &rng_g).ok());
+  ASSERT_TRUE(global.SetParameters(avg).ok());
+  EXPECT_EQ(global.GetParameters(), avg);
 }
 
 TEST(NBeatsTest, RejectsMultiStepHorizonThroughRegressorApi) {

@@ -23,6 +23,7 @@
 #include "net/socket.h"
 #include "net/tcp_transport.h"
 #include "net/worker.h"
+#include "tests/fl/round_collector.h"
 
 namespace fedfc::net {
 namespace {
@@ -277,7 +278,7 @@ TEST(LoopbackTest, KilledWorkerIsAbsorbedByRetryPolicy) {
 
   fl::RoundSpec spec("any", fl::Payload());
   spec.policy.max_retries = 2;
-  Result<fl::RoundResult> round = server.RunRound(spec);
+  Result<fl::CollectedRound> round = fl::CollectRound(server, spec);
 
   // Tear the workers down before asserting, so a failed expectation cannot
   // leave Serve blocking the pool destructor.
@@ -288,8 +289,8 @@ TEST(LoopbackTest, KilledWorkerIsAbsorbedByRetryPolicy) {
 
   ASSERT_TRUE(round.ok()) << round.status();
   ASSERT_EQ(round->replies.size(), 2u);
-  EXPECT_NEAR(round->replies[0].weight, 0.75, 1e-12);
-  EXPECT_NEAR(round->replies[1].weight, 0.25, 1e-12);
+  EXPECT_EQ(round->replies[0].weight, 30.0);
+  EXPECT_EQ(round->replies[1].weight, 10.0);
   ASSERT_EQ(round->outcomes.size(), 2u);
   EXPECT_TRUE(round->outcomes[0].ok);
   EXPECT_TRUE(round->outcomes[1].ok);
@@ -328,7 +329,7 @@ TEST(LoopbackTest, DeadWorkerToleratedAsPartialRound) {
 
   fl::RoundSpec spec("any", fl::Payload());
   spec.policy.min_success_fraction = 0.5;
-  Result<fl::RoundResult> round = server.RunRound(spec);
+  Result<fl::CollectedRound> round = fl::CollectRound(server, spec);
 
   worker0.RequestStop();
   EXPECT_TRUE(done0.get().ok());
@@ -336,7 +337,11 @@ TEST(LoopbackTest, DeadWorkerToleratedAsPartialRound) {
   ASSERT_TRUE(round.ok()) << round.status();
   ASSERT_EQ(round->replies.size(), 1u);
   EXPECT_EQ(round->replies[0].client_index, 0u);
-  EXPECT_DOUBLE_EQ(round->replies[0].weight, 1.0);  // Renormalized alone.
+  EXPECT_EQ(round->replies[0].weight, 30.0);
+  // Equation 1 renormalizes over the survivor alone: the mean is its value.
+  Result<double> mean = fl::WeightedMean(round->replies, "value");
+  ASSERT_TRUE(mean.ok()) << mean.status();
+  EXPECT_DOUBLE_EQ(*mean, 1.0);
   EXPECT_EQ(round->trace.ok_clients, 1u);
   EXPECT_EQ(round->trace.failed_clients, 1u);
   EXPECT_EQ(round->trace.transport_failures, 1u);  // The refused connect.

@@ -53,8 +53,8 @@
 //   layering        Whole-program: builds the include graph of src/ + tests/
 //                   (with bench/, examples/ and tools/ as extra TU roots) and
 //                   enforces the module DAG
-//                     core <- {ts, data} <- {ml, features} <- fl
-//                          <- {net, automl}
+//                     core <- {ts, data} <- {ml, features} <- automl
+//                     core <- fl <- {net, automl}; {net, automl} <- serve
 //                   rejects include cycles, flags src/ headers no translation
 //                   unit reaches, and bans any #include from tools/.
 //
@@ -691,35 +691,6 @@ void CheckIntrinsics(const LexedFile& f, std::vector<Violation>* out) {
   }
 }
 
-// --- Rule: round_buffering (new) -------------------------------------------
-//
-// src/automl/ consumes federated rounds through streaming ReplyConsumer
-// folds (automl/phases/reply_folds.h); naming fl::RoundResult — or walking a
-// buffered `.replies` vector — reintroduces the O(num_clients) reply
-// buffering the streaming refactor removed (docs/ARCHITECTURE.md, "Round
-// orchestration"). The buffered API itself stays legal in src/fl/ (it is the
-// compatibility surface) and in tests/, which replay buffered rounds to
-// prove fold equivalence. No fedfc-allow escape: an automl phase that needs
-// every reply at once should grow a consumer, not an annotation.
-
-void CheckRoundBuffering(const LexedFile& f, std::vector<Violation>* out) {
-  if (f.rel_path.rfind("automl/", 0) != 0) return;
-  const auto& t = f.tokens;
-  for (size_t i = 0; i < t.size(); ++i) {
-    if (IsIdent(t[i], "RoundResult")) {
-      out->push_back({f.rel_path, t[i].line, "round_buffering",
-                      "fl::RoundResult buffers every reply — stream through a "
-                      "ReplyConsumer fold (automl/phases/reply_folds.h) "
-                      "instead"});
-    } else if (i > 0 && IsIdent(t[i], "replies") &&
-               (IsPunct(t[i - 1], ".") || IsPunct(t[i - 1], "->"))) {
-      out->push_back({f.rel_path, t[i].line, "round_buffering",
-                      "walking a buffered `.replies` vector in automl/ — fold "
-                      "replies as they arrive via a ReplyConsumer"});
-    }
-  }
-}
-
 // --- Rule: frame_io ---------------------------------------------------------
 //
 // Frames move over sockets in exactly two places: net::FrameServer (the one
@@ -757,11 +728,13 @@ void CheckFrameIo(const LexedFile& f, std::vector<Violation>* out) {
 //
 //   1. The module DAG: a src/<module>/ file may include only from its own
 //      module or the modules listed in AllowedDeps(). The layer order is
-//          core <- {ts, data} <- {ml, features} <- fl <- {net, automl} <- serve
-//      net and automl are siblings (neither may include the other); serve
-//      sits above both and nothing in src/ includes from it. tools/ is a
-//      sink nothing includes from. tests/ are DAG-exempt: a test may reach
-//      into any module it exercises.
+//          core <- {ts, data} <- {ml, features} <- automl <- serve
+//          core <- fl <- {net, automl}
+//      fl is the federation substrate and knows nothing of models or
+//      features; net and automl are siblings (neither may include the
+//      other); serve sits above both and nothing in src/ includes from it.
+//      tools/ is a sink nothing includes from. tests/ are DAG-exempt: a
+//      test may reach into any module it exercises.
 //   2. No include cycles anywhere in the graph (DFS back-edge detection).
 //   3. No orphan headers: every src/ header must be reachable from some
 //      translation unit the build compiles (a .cc/.cpp under src/, tests/,
@@ -781,8 +754,8 @@ const std::map<std::string, std::set<std::string>>& AllowedDeps() {
       {"data", {"core", "ts"}},
       {"ml", {"core", "ts", "data"}},
       {"features", {"core", "ts", "data", "ml"}},
-      {"fl", {"core", "ts", "data", "ml", "features"}},
-      {"net", {"core", "ts", "data", "ml", "features", "fl"}},
+      {"fl", {"core"}},
+      {"net", {"core", "fl"}},
       {"automl", {"core", "ts", "data", "ml", "features", "fl"}},
       // Serving sits above everything: it may reach the whole training
       // stack, and nothing in src/ may include from it (tools/, bench/ and
@@ -870,7 +843,8 @@ void CheckLayering(const std::vector<LexedFile>& program,
         out->push_back({from, e.line, "layering",
                         "'" + from_mod + "' may not include from '" + to_mod +
                             "' — the module DAG is core <- {ts, data} <- "
-                            "{ml, features} <- fl <- {net, automl}"});
+                            "{ml, features} <- automl and core <- fl <- "
+                            "{net, automl}"});
       }
     }
   }
@@ -1056,14 +1030,12 @@ constexpr Rule kRules[] = {
      "repo-root-relative includes: no ../ ./ absolute or .cc includes"},
     {"intrinsics", CheckIntrinsics, true,
      "SIMD intrinsics (<*intrin.h>, _mm*/__m*) only in src/ml/kernels/"},
-    {"round_buffering", CheckRoundBuffering, false,
-     "src/automl/ consumes rounds via ReplyConsumer folds, not RoundResult"},
     {"frame_io", CheckFrameIo, false,
      "ReadFrame/WriteFrame only in net/frame, net/frame_server and "
      "net/frame_channel"},
     {"layering", nullptr, true,
-     "module DAG core<-{ts,data}<-{ml,features}<-fl<-{net,automl}; no "
-     "cycles, orphan headers, or includes from tools/",
+     "module DAG core<-{ts,data}<-{ml,features}<-automl, core<-fl<-"
+     "{net,automl}; no cycles, orphan headers, or includes from tools/",
      CheckLayering},
     {"fuzz_coverage", nullptr, true,
      "every Decode*/Deserialize*/Parse*/From{Payload,Tensor,Span} decoder "
@@ -1420,37 +1392,6 @@ const std::vector<SelfTestCase>& SelfTestCases() {
       {"intrinsics",
        {"ml/ok_ident.cc", "int _member = 0; int F() { return _member; }\n"},
        false, "ordinary underscore identifiers do not fire"},
-      // round_buffering
-      {"round_buffering",
-       {"automl/bad_buffer.cc",
-        "Result<double> F(fl::Server* s, const fl::RoundSpec& spec) {\n"
-        "  FEDFC_ASSIGN_OR_RETURN(fl::RoundResult round, s->RunRound(spec));\n"
-        "  return fl::Server::AggregateScalar(round.replies, \"loss\");\n}\n"},
-       true, "materializing fl::RoundResult in automl/ fires"},
-      {"round_buffering",
-       {"automl/bad_replies.cc",
-        "double Sum(const Round* round) {\n"
-        "  double s = 0;\n"
-        "  for (const auto& r : round->replies) s += r.weight;\n"
-        "  return s;\n}\n"},
-       true, "walking a buffered ->replies vector in automl/ fires"},
-      {"round_buffering",
-       {"fl/server.cc",
-        "Result<fl::RoundResult> F(fl::Server* s, const fl::RoundSpec& spec)"
-        " {\n  return s->RunRound(spec);\n}\n"},
-       false, "src/fl/ is the buffered API's home and stays legal"},
-      {"round_buffering",
-       {"automl/ok_fold.cc",
-        "Result<double> F(fl::RoundRunner* r, const fl::RoundSpec& spec) {\n"
-        "  auto consumer = phases::MakeScalarFold(DecodeLoss);\n"
-        "  FEDFC_RETURN_IF_ERROR(r->RunRound(spec, consumer).status());\n"
-        "  std::vector<int> replies;\n"
-        "  return consumer.Mean();\n}\n"},
-       false, "consumer folds (and plain `replies` locals) are clean"},
-      {"round_buffering",
-       {"automl/doc.cc",
-        "// legacy phases held a RoundResult and looped over .replies\n"},
-       false, "mentions in comments do not fire"},
       // frame_io
       {"frame_io",
        {"serve/bad_loop.cc",
@@ -1544,6 +1485,10 @@ const std::vector<ProgramSelfTestCase>& ProgramSelfTestCases() {
         {"ts/bad.cc", "#include \"fl/server.h\"\n"}},
        true, "an upward edge (ts -> fl) fires"},
       {"layering",
+       {{"ml/model.h", "int M();\n"},
+        {"fl/bad.cc", "#include \"ml/model.h\"\n"}},
+       true, "fl including from ml fires"},
+      {"layering",
        {{"core/util.h", "int U();\n"},
         {"experiments/new.cc", "#include \"core/util.h\"\n"}},
        true, "a src/ module missing from the layering map fires"},
@@ -1594,9 +1539,11 @@ const std::vector<ProgramSelfTestCase>& ProgramSelfTestCases() {
         {"data/loader.h", "#include \"ts/series.h\"\nint L();\n"},
         {"ml/model.h", "#include \"data/loader.h\"\nint M();\n"},
         {"features/gen.h", "#include \"ml/model.h\"\nint G();\n"},
-        {"fl/server.h", "#include \"features/gen.h\"\nint V();\n"},
+        {"fl/server.h", "#include \"core/util.h\"\nint V();\n"},
         {"net/transport.h", "#include \"fl/server.h\"\nint T();\n"},
-        {"automl/engine.h", "#include \"fl/server.h\"\nint E();\n"},
+        {"automl/engine.h",
+         "#include \"features/gen.h\"\n#include \"fl/server.h\"\n"
+         "int E();\n"},
         {"net/transport.cc", "#include \"net/transport.h\"\n"},
         {"automl/engine.cc", "#include \"automl/engine.h\"\n"}},
        false, "the full module chain with every header reached is clean"},
