@@ -100,13 +100,14 @@ class BenchReporter {
     metrics_.push_back({name, value, unit, higher_is_better});
   }
 
-  [[nodiscard]] std::string DefaultPath() const {
-    return "BENCH_" + bench_name_ + ".json";
-  }
-
-  /// Writes the record to `path` ("" = DefaultPath() in the working dir).
-  Status WriteJson(const std::string& path) const {
-    const std::string target = path.empty() ? DefaultPath() : path;
+  /// Writes the record to `target` (the bench's `--json-out PATH`). An empty
+  /// target writes nothing, so running a bench from the repo root never
+  /// overwrites the committed BENCH_<name>.json baseline.
+  Status WriteJson(const std::string& target) const {
+    if (target.empty()) {
+      std::fprintf(stderr, "[bench] no --json-out PATH given; record not written\n");
+      return Status::OK();
+    }
     FILE* f = std::fopen(target.c_str(), "w");
     if (f == nullptr) {
       return Status::Internal("BenchReporter: cannot open " + target);

@@ -7,8 +7,9 @@
 #   asan    AddressSanitizer (+ leak checking and libstdc++ assertions,
 #           -D_GLIBCXX_ASSERTIONS) over the full test suite, built into
 #           build-asan/.
-#   ubsan   UndefinedBehaviorSanitizer (non-recoverable) over the full test
-#           suite, built into build-ubsan/.
+#   ubsan   UndefinedBehaviorSanitizer (non-recoverable, plus
+#           float-cast-overflow, which GCC's -fsanitize=undefined omits) over
+#           the full test suite, built into build-ubsan/.
 #   lint    fedfc_lint repo-invariant linter (12 rules incl. the whole-program
 #           layering and fuzz_coverage passes; `--list-rules`
 #           prints the set) + its per-rule

@@ -20,12 +20,6 @@ Matrix Matrix::Identity(size_t n) {
   return m;
 }
 
-Matrix Matrix::ColumnVector(const std::vector<double>& v) {
-  Matrix m(v.size(), 1);
-  for (size_t i = 0; i < v.size(); ++i) m(i, 0) = v[i];
-  return m;
-}
-
 Matrix Matrix::Transpose() const {
   Matrix t(cols_, rows_);
   for (size_t r = 0; r < rows_; ++r) {
@@ -99,11 +93,6 @@ std::vector<double> Matrix::Column(size_t c) const {
   std::vector<double> out(rows_);
   for (size_t r = 0; r < rows_; ++r) out[r] = (*this)(r, c);
   return out;
-}
-
-void Matrix::SetColumn(size_t c, const std::vector<double>& v) {
-  FEDFC_CHECK(c < cols_ && v.size() == rows_);
-  for (size_t r = 0; r < rows_; ++r) (*this)(r, c) = v[r];
 }
 
 Matrix Matrix::SelectRows(const std::vector<size_t>& indices) const {
@@ -206,44 +195,6 @@ Result<std::vector<double>> SolveSpd(const Matrix& a, const std::vector<double>&
     jitter *= 10.0;
   }
   return Status::InvalidArgument("SolveSpd: matrix not SPD even with jitter");
-}
-
-Result<std::vector<double>> SolveLinear(Matrix a, std::vector<double> b) {
-  if (a.rows() != a.cols() || a.rows() != b.size()) {
-    return Status::InvalidArgument("SolveLinear: dimension mismatch");
-  }
-  const size_t n = a.rows();
-  for (size_t col = 0; col < n; ++col) {
-    // Partial pivoting.
-    size_t pivot = col;
-    double best = std::fabs(a(col, col));
-    for (size_t r = col + 1; r < n; ++r) {
-      if (std::fabs(a(r, col)) > best) {
-        best = std::fabs(a(r, col));
-        pivot = r;
-      }
-    }
-    if (best < 1e-14) {
-      return Status::InvalidArgument("SolveLinear: singular matrix");
-    }
-    if (pivot != col) {
-      for (size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
-      std::swap(b[col], b[pivot]);
-    }
-    for (size_t r = col + 1; r < n; ++r) {
-      double f = a(r, col) / a(col, col);
-      if (f == 0.0) continue;
-      for (size_t c = col; c < n; ++c) a(r, c) -= f * a(col, c);
-      b[r] -= f * b[col];
-    }
-  }
-  std::vector<double> x(n);
-  for (size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    for (size_t c = ii + 1; c < n; ++c) sum -= a(ii, c) * x[c];
-    x[ii] = sum / a(ii, ii);
-  }
-  return x;
 }
 
 Result<std::vector<double>> LeastSquares(const Matrix& x, const std::vector<double>& y,

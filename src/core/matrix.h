@@ -26,8 +26,6 @@ class Matrix {
   Matrix(std::initializer_list<std::initializer_list<double>> rows);
 
   static Matrix Identity(size_t n);
-  /// Single-column matrix from a vector.
-  static Matrix ColumnVector(const std::vector<double>& v);
 
   [[nodiscard]] size_t rows() const { return rows_; }
   [[nodiscard]] size_t cols() const { return cols_; }
@@ -61,7 +59,6 @@ class Matrix {
 
   /// Extracts column c as a vector.
   [[nodiscard]] std::vector<double> Column(size_t c) const;
-  void SetColumn(size_t c, const std::vector<double>& v);
 
   /// Selects a subset of rows (by index, in order; duplicates allowed).
   [[nodiscard]] Matrix SelectRows(const std::vector<size_t>& indices) const;
@@ -96,10 +93,6 @@ std::vector<double> BackwardSubstituteTranspose(const Matrix& l,
 /// (up to a few escalations) when the factorization fails numerically.
 Result<std::vector<double>> SolveSpd(const Matrix& a, const std::vector<double>& b,
                                      double jitter = 1e-10);
-
-/// Solves the general square system A x = b via Gaussian elimination with
-/// partial pivoting. Returns InvalidArgument on singular systems.
-Result<std::vector<double>> SolveLinear(Matrix a, std::vector<double> b);
 
 /// Least-squares solve of min ||X beta - y||^2 via normal equations with
 /// ridge jitter; robust enough for the well-conditioned design matrices the

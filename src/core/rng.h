@@ -63,9 +63,6 @@ class Rng {
   /// n indices drawn with replacement from [0, n) (bootstrap).
   std::vector<size_t> Bootstrap(size_t n);
 
-  /// Derives an independent child generator (for per-client streams).
-  Rng Fork() { return Rng(engine_() ^ 0x9e3779b97f4a7c15ULL); }
-
   std::mt19937_64& engine() { return engine_; }
 
  private:

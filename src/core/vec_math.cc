@@ -16,14 +16,6 @@ double Dot(const std::vector<double>& a, const std::vector<double>& b) {
   return acc;
 }
 
-double NormL2(const std::vector<double>& v) { return std::sqrt(Dot(v, v)); }
-
-double NormL1(const std::vector<double>& v) {
-  double acc = 0.0;
-  for (double x : v) acc += std::fabs(x);
-  return acc;
-}
-
 double Sum(const std::vector<double>& v) {
   return std::accumulate(v.begin(), v.end(), 0.0);
 }
@@ -41,18 +33,7 @@ double Variance(const std::vector<double>& v) {
   return acc / static_cast<double>(v.size());
 }
 
-double SampleVariance(const std::vector<double>& v) {
-  if (v.size() < 2) return 0.0;
-  double m = Mean(v);
-  double acc = 0.0;
-  for (double x : v) acc += (x - m) * (x - m);
-  return acc / static_cast<double>(v.size() - 1);
-}
-
 double StdDev(const std::vector<double>& v) { return std::sqrt(Variance(v)); }
-double SampleStdDev(const std::vector<double>& v) {
-  return std::sqrt(SampleVariance(v));
-}
 
 double Min(const std::vector<double>& v) {
   FEDFC_CHECK(!v.empty());
@@ -122,26 +103,6 @@ double PearsonCorrelation(const std::vector<double>& a, const std::vector<double
   }
   if (va <= 0.0 || vb <= 0.0) return 0.0;
   return cov / std::sqrt(va * vb);
-}
-
-std::vector<double> AddVec(const std::vector<double>& a, const std::vector<double>& b) {
-  FEDFC_CHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] + b[i];
-  return out;
-}
-
-std::vector<double> SubVec(const std::vector<double>& a, const std::vector<double>& b) {
-  FEDFC_CHECK(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (size_t i = 0; i < a.size(); ++i) out[i] = a[i] - b[i];
-  return out;
-}
-
-std::vector<double> ScaleVec(const std::vector<double>& v, double s) {
-  std::vector<double> out(v.size());
-  for (size_t i = 0; i < v.size(); ++i) out[i] = v[i] * s;
-  return out;
 }
 
 void Axpy(double s, const std::vector<double>& b, std::vector<double>* a) {

@@ -7,21 +7,16 @@
 namespace fedfc {
 
 /// Elementwise/statistical helpers on std::vector<double>. All functions
-/// ignore nothing: callers must strip NaNs first (ts::DropMissing) unless a
+/// ignore nothing: callers must strip NaNs first unless a
 /// function is documented otherwise.
 
 double Dot(const std::vector<double>& a, const std::vector<double>& b);
-double NormL2(const std::vector<double>& v);
-double NormL1(const std::vector<double>& v);
 
 double Sum(const std::vector<double>& v);
 double Mean(const std::vector<double>& v);
 /// Population variance (divide by n); 0 for n < 1.
 double Variance(const std::vector<double>& v);
-/// Sample variance (divide by n-1); 0 for n < 2.
-double SampleVariance(const std::vector<double>& v);
 double StdDev(const std::vector<double>& v);
-double SampleStdDev(const std::vector<double>& v);
 double Min(const std::vector<double>& v);
 double Max(const std::vector<double>& v);
 
@@ -36,10 +31,6 @@ double Median(std::vector<double> v);
 
 /// Pearson correlation; 0 when either side is constant.
 double PearsonCorrelation(const std::vector<double>& a, const std::vector<double>& b);
-
-std::vector<double> AddVec(const std::vector<double>& a, const std::vector<double>& b);
-std::vector<double> SubVec(const std::vector<double>& a, const std::vector<double>& b);
-std::vector<double> ScaleVec(const std::vector<double>& v, double s);
 
 /// In-place a += s * b.
 void Axpy(double s, const std::vector<double>& b, std::vector<double>* a);

@@ -45,10 +45,16 @@ void Server::set_num_threads(size_t num_threads) {
 
 Result<RoundSummary> Server::RunRound(const RoundSpec& spec,
                                       ReplyConsumer& consumer) {
-  if (spec.policy.participation_fraction <= 0.0 ||
-      spec.policy.participation_fraction > 1.0) {
+  // Written as negated in-range tests so NaN is rejected too.
+  if (!(spec.policy.participation_fraction > 0.0 &&
+        spec.policy.participation_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "round '" + spec.task + "': participation_fraction must be in (0, 1]");
+  }
+  if (!(spec.policy.min_success_fraction >= 0.0 &&
+        spec.policy.min_success_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        "round '" + spec.task + "': min_success_fraction must be in [0, 1]");
   }
   auto start = std::chrono::steady_clock::now();
   const TransportStats stats_before = transport_->stats();

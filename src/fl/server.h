@@ -46,7 +46,8 @@ class Server : public RoundRunner {
   /// replies into `consumer`. Fails when every sampled client fails, when
   /// fewer than `policy.min_success_fraction` of them succeed (partial
   /// participation is the FL norm, not an error), or when the consumer
-  /// rejects a reply.
+  /// rejects a reply. A policy fraction outside its documented range (NaN
+  /// included) is InvalidArgument before any client is contacted.
   Result<RoundSummary> RunRound(const RoundSpec& spec,
                                 ReplyConsumer& consumer) override;
 

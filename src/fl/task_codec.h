@@ -265,14 +265,6 @@ class TaskRegistry {
 
   [[nodiscard]] bool Has(const std::string& task) const { return handlers_.count(task) > 0; }
 
-  /// Registered task ids, sorted (map order).
-  [[nodiscard]] std::vector<std::string> TaskIds() const {
-    std::vector<std::string> ids;
-    ids.reserve(handlers_.size());
-    for (const auto& [task, _] : handlers_) ids.push_back(task);
-    return ids;
-  }
-
   [[nodiscard]] Result<Payload> Dispatch(const std::string& task, const Payload& request) const {
     auto it = handlers_.find(task);
     if (it == handlers_.end()) {

@@ -8,10 +8,6 @@
 
 namespace fedfc::ml {
 
-const char* CdSelectionName(CdSelection s) {
-  return s == CdSelection::kCyclic ? "cyclic" : "random";
-}
-
 double SoftThreshold(double z, double gamma) {
   if (z > gamma) return z - gamma;
   if (z < -gamma) return z + gamma;

@@ -12,8 +12,6 @@ namespace fedfc::ml {
 /// hyperparameter for Lasso/ElasticNet).
 enum class CdSelection { kCyclic, kRandom };
 
-const char* CdSelectionName(CdSelection s);
-
 struct CdOptions {
   double alpha = 1.0;       ///< Overall regularization strength.
   double l1_ratio = 1.0;    ///< 1 = Lasso, 0 = Ridge, in between = ElasticNet.

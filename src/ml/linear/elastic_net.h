@@ -1,7 +1,6 @@
 #ifndef FEDFC_ML_LINEAR_ELASTIC_NET_H_
 #define FEDFC_ML_LINEAR_ELASTIC_NET_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -9,36 +8,6 @@
 #include "ml/linear/linear_base.h"
 
 namespace fedfc::ml {
-
-/// Elastic-net regression (L1 + L2) via coordinate descent.
-class ElasticNetRegressor : public LinearRegressorBase {
- public:
-  struct Config {
-    double alpha = 0.1;
-    double l1_ratio = 0.5;
-    CdSelection selection = CdSelection::kCyclic;
-    size_t max_iter = 200;
-    double tol = 1e-5;
-  };
-
-  ElasticNetRegressor() = default;
-  explicit ElasticNetRegressor(Config config) : config_(config) {}
-
-  std::string Name() const override { return "ElasticNet"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<ElasticNetRegressor>(*this);
-  }
-
-  [[nodiscard]] const Config& config() const { return config_; }
-
- protected:
-  Status FitStandardized(const Matrix& x, const std::vector<double>& y, Rng* rng,
-                         std::vector<double>* weights_std,
-                         double* intercept_std) override;
-
- private:
-  Config config_;
-};
 
 /// ElasticNet with the regularization strength `alpha` chosen by
 /// time-ordered K-fold cross-validation over a geometric alpha path —
@@ -60,10 +29,6 @@ class ElasticNetCvRegressor : public LinearRegressorBase {
   explicit ElasticNetCvRegressor(Config config) : config_(config) {}
 
   std::string Name() const override { return "ElasticNetCV"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<ElasticNetCvRegressor>(*this);
-  }
-
   [[nodiscard]] const Config& config() const { return config_; }
   [[nodiscard]] double chosen_alpha() const { return chosen_alpha_; }
 

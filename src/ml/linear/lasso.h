@@ -1,7 +1,6 @@
 #ifndef FEDFC_ML_LINEAR_LASSO_H_
 #define FEDFC_ML_LINEAR_LASSO_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,10 +24,6 @@ class LassoRegressor : public LinearRegressorBase {
   explicit LassoRegressor(Config config) : config_(config) {}
 
   std::string Name() const override { return "Lasso"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<LassoRegressor>(*this);
-  }
-
   [[nodiscard]] const Config& config() const { return config_; }
 
  protected:

@@ -1,7 +1,6 @@
 #ifndef FEDFC_ML_LINEAR_LINEAR_SVR_H_
 #define FEDFC_ML_LINEAR_LINEAR_SVR_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +25,6 @@ class LinearSvrRegressor : public LinearRegressorBase {
   explicit LinearSvrRegressor(Config config) : config_(config) {}
 
   std::string Name() const override { return "LinearSVR"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<LinearSvrRegressor>(*this);
-  }
-
   [[nodiscard]] const Config& config() const { return config_; }
 
  protected:

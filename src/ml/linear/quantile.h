@@ -1,7 +1,6 @@
 #ifndef FEDFC_ML_LINEAR_QUANTILE_H_
 #define FEDFC_ML_LINEAR_QUANTILE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,10 +25,6 @@ class QuantileRegressor : public LinearRegressorBase {
   explicit QuantileRegressor(Config config) : config_(config) {}
 
   std::string Name() const override { return "QuantileRegressor"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<QuantileRegressor>(*this);
-  }
-
   [[nodiscard]] const Config& config() const { return config_; }
 
  protected:

@@ -20,33 +20,6 @@ double MeanSquaredError(const std::vector<double>& y_true,
   return acc / static_cast<double>(y_true.size());
 }
 
-double RootMeanSquaredError(const std::vector<double>& y_true,
-                            const std::vector<double>& y_pred) {
-  return std::sqrt(MeanSquaredError(y_true, y_pred));
-}
-
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred) {
-  FEDFC_CHECK(y_true.size() == y_pred.size() && !y_true.empty());
-  double acc = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    acc += std::fabs(y_true[i] - y_pred[i]);
-  }
-  return acc / static_cast<double>(y_true.size());
-}
-
-double R2Score(const std::vector<double>& y_true, const std::vector<double>& y_pred) {
-  FEDFC_CHECK(y_true.size() == y_pred.size() && !y_true.empty());
-  double mean = Mean(y_true);
-  double rss = 0.0, tss = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    rss += (y_true[i] - y_pred[i]) * (y_true[i] - y_pred[i]);
-    tss += (y_true[i] - mean) * (y_true[i] - mean);
-  }
-  if (tss <= 0.0) return 0.0;
-  return 1.0 - rss / tss;
-}
-
 double Accuracy(const std::vector<int>& y_true, const std::vector<int>& y_pred) {
   FEDFC_CHECK(y_true.size() == y_pred.size() && !y_true.empty());
   size_t correct = 0;

@@ -8,15 +8,9 @@
 
 namespace fedfc::ml {
 
-/// Regression metrics. All require equal, non-zero lengths.
+/// Mean squared error; requires equal, non-zero lengths.
 double MeanSquaredError(const std::vector<double>& y_true,
                         const std::vector<double>& y_pred);
-double RootMeanSquaredError(const std::vector<double>& y_true,
-                            const std::vector<double>& y_pred);
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred);
-/// R^2 coefficient of determination (1 - RSS/TSS); 0 when y_true is constant.
-double R2Score(const std::vector<double>& y_true, const std::vector<double>& y_pred);
 
 /// Classification metrics over integer labels in [0, n_classes).
 double Accuracy(const std::vector<int>& y_true, const std::vector<int>& y_pred);

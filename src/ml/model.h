@@ -46,9 +46,6 @@ class Regressor {
   virtual Status ValidateFeatureWidth(size_t /*n_cols*/) const {
     return Status::OK();
   }
-
-  /// Deep copy (unfitted state need not be preserved; fitted state must be).
-  virtual std::unique_ptr<Regressor> Clone() const = 0;
 };
 
 /// Base interface for classifiers (used by the meta-model, Table 4).

@@ -1,7 +1,6 @@
 #ifndef FEDFC_ML_NN_NBEATS_H_
 #define FEDFC_ML_NN_NBEATS_H_
 
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,10 +99,6 @@ class NBeatsRegressor : public Regressor {
   std::string Name() const override { return "NBeats"; }
   std::vector<double> GetParameters() const override;
   Status SetParameters(const std::vector<double>& params) override;
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<NBeatsRegressor>(*this);
-  }
-
   [[nodiscard]] const NBeatsConfig& config() const { return config_; }
   [[nodiscard]] size_t n_params() const;
   [[nodiscard]] bool built() const { return !blocks_.empty(); }

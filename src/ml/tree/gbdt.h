@@ -35,10 +35,6 @@ class GbdtRegressor : public Regressor {
   std::vector<double> Predict(const Matrix& x) const override;
 
   std::string Name() const override { return "XGBRegressor"; }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<GbdtRegressor>(*this);
-  }
-
   [[nodiscard]] const GbdtConfig& config() const { return config_; }
   [[nodiscard]] size_t n_trees() const { return trees_.size(); }
 

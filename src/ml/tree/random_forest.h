@@ -46,10 +46,6 @@ class RandomForestRegressor : public Regressor {
     return config_.tree.random_thresholds ? "ExtraTreesRegressor"
                                           : "RandomForestRegressor";
   }
-  std::unique_ptr<Regressor> Clone() const override {
-    return std::make_unique<RandomForestRegressor>(*this);
-  }
-
   /// Importances normalized to sum to 1 (all-zero when no splits happened).
   [[nodiscard]] const std::vector<double>& feature_importances() const { return importances_; }
   [[nodiscard]] const ForestConfig& config() const { return config_; }

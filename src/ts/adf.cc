@@ -102,13 +102,4 @@ bool IsStationary(const std::vector<double>& values, bool fallback) {
   return r->stationary();
 }
 
-int OrderOfIntegration(const std::vector<double>& values) {
-  std::vector<double> cur = values;
-  for (int d = 0; d < 2; ++d) {
-    if (IsStationary(cur, /*fallback=*/true)) return d;
-    cur = Difference(cur, 1);
-  }
-  return 2;
-}
-
 }  // namespace fedfc::ts

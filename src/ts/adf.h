@@ -32,10 +32,6 @@ Result<AdfResult> AdfTest(const std::vector<double>& values,
 /// returns `fallback` when the test cannot be run.
 bool IsStationary(const std::vector<double>& values, bool fallback = false);
 
-/// Number of differencing rounds (0, 1 or 2) needed before the series tests
-/// stationary; returns 2 when even the twice-differenced series does not.
-int OrderOfIntegration(const std::vector<double>& values);
-
 }  // namespace fedfc::ts
 
 #endif  // FEDFC_TS_ADF_H_

@@ -36,38 +36,4 @@ double KlDivergence(const std::vector<double>& p, const std::vector<double>& q) 
   return std::max(kl, 0.0);
 }
 
-std::vector<double> PairwiseClientKl(
-    const std::vector<std::vector<double>>& client_values, size_t bins) {
-  // Pooled range across all clients.
-  double lo = 0.0, hi = 0.0;
-  bool seen = false;
-  for (const auto& cv : client_values) {
-    for (double v : cv) {
-      if (std::isnan(v)) continue;
-      if (!seen) {
-        lo = hi = v;
-        seen = true;
-      } else {
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-      }
-    }
-  }
-  if (!seen) return {};
-
-  std::vector<std::vector<double>> hists;
-  hists.reserve(client_values.size());
-  for (const auto& cv : client_values) {
-    hists.push_back(SmoothedHistogram(cv, lo, hi, bins));
-  }
-  std::vector<double> out;
-  for (size_t i = 0; i < hists.size(); ++i) {
-    for (size_t j = 0; j < hists.size(); ++j) {
-      if (i == j) continue;
-      out.push_back(KlDivergence(hists[i], hists[j]));
-    }
-  }
-  return out;
-}
-
 }  // namespace fedfc::ts

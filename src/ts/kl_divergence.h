@@ -16,13 +16,6 @@ std::vector<double> SmoothedHistogram(const std::vector<double>& values, double 
 /// normalized and strictly positive; SmoothedHistogram guarantees this).
 double KlDivergence(const std::vector<double>& p, const std::vector<double>& q);
 
-/// Pairwise KL divergences among client value distributions (Table 1: "KL
-/// Div. among clients' distribution"). Histograms share a global range pooled
-/// across clients. Returns the flattened list of KL(i || j) for all ordered
-/// pairs i != j; empty when fewer than two non-degenerate clients exist.
-std::vector<double> PairwiseClientKl(
-    const std::vector<std::vector<double>>& client_values, size_t bins = 32);
-
 }  // namespace fedfc::ts
 
 #endif  // FEDFC_TS_KL_DIVERGENCE_H_

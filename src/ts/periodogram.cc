@@ -1,9 +1,7 @@
 #include "ts/periodogram.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "core/logging.h"
 #include "core/vec_math.h"
 #include "ts/fft.h"
 
@@ -11,41 +9,8 @@ namespace fedfc::ts {
 
 namespace {
 
-/// Shared peak-extraction over a power spectrum laid out on frequencies
-/// k/n_fft, k = 1..n_half. `n_samples` bounds the admissible periods.
-std::vector<SeasonalComponent> ExtractPeaks(const std::vector<double>& power,
-                                            size_t n_fft, size_t n_samples,
-                                            size_t top_n, double min_strength) {
-  std::vector<SeasonalComponent> out;
-  double total = Sum(power);
-  if (total <= 0.0) return out;
-
-  std::vector<size_t> order = ArgsortDescending(power);
-  for (size_t idx : order) {
-    if (out.size() >= top_n) break;
-    size_t k = idx + 1;  // Frequency bin (DC excluded).
-    // Local peak test against neighbours.
-    double p = power[idx];
-    if (idx > 0 && power[idx - 1] > p) continue;
-    if (idx + 1 < power.size() && power[idx + 1] > p) continue;
-    double strength = p / total;
-    if (strength < min_strength) break;  // Sorted order: all later are weaker.
-    double period = static_cast<double>(n_fft) / static_cast<double>(k);
-    if (period < 2.0 || period > static_cast<double>(n_samples) / 2.0) continue;
-    // Suppress near-duplicates (harmonics resolved onto close bins).
-    bool dup = false;
-    for (const auto& c : out) {
-      if (std::fabs(c.period - period) < 0.15 * c.period) {
-        dup = true;
-        break;
-      }
-    }
-    if (dup) continue;
-    out.push_back({period, strength});
-  }
-  return out;
-}
-
+/// Power of the mean-removed, zero-padded signal on frequencies k/n_fft,
+/// k = 1..n_fft/2 (DC excluded).
 std::vector<double> PowerSpectrum(const std::vector<double>& values, size_t* n_fft) {
   std::vector<double> x = values;
   double mean = Mean(x);
@@ -63,78 +28,40 @@ std::vector<double> PowerSpectrum(const std::vector<double>& values, size_t* n_f
 
 }  // namespace
 
-std::vector<SpectralPoint> Periodogram(const std::vector<double>& values) {
-  std::vector<SpectralPoint> out;
-  if (values.size() < 4) return out;
-  size_t n_fft = 0;
-  std::vector<double> power = PowerSpectrum(values, &n_fft);
-  out.reserve(power.size());
-  for (size_t i = 0; i < power.size(); ++i) {
-    size_t k = i + 1;
-    SpectralPoint pt;
-    pt.frequency = static_cast<double>(k) / static_cast<double>(n_fft);
-    pt.period = static_cast<double>(n_fft) / static_cast<double>(k);
-    pt.power = power[i];
-    out.push_back(pt);
-  }
-  return out;
-}
-
 std::vector<SeasonalComponent> DetectSeasonalities(const std::vector<double>& values,
                                                    size_t top_n,
                                                    double min_strength) {
   if (values.size() < 8) return {};
   size_t n_fft = 0;
   std::vector<double> power = PowerSpectrum(values, &n_fft);
-  return ExtractPeaks(power, n_fft, values.size(), top_n, min_strength);
-}
+  std::vector<SeasonalComponent> out;
+  double total = Sum(power);
+  if (total <= 0.0) return out;
 
-std::vector<SeasonalComponent> DetectSeasonalitiesWeighted(
-    const std::vector<std::vector<double>>& client_values,
-    const std::vector<double>& weights, size_t top_n, double min_strength) {
-  FEDFC_CHECK(client_values.size() == weights.size());
-  if (client_values.empty()) return {};
-
-  // Common grid: the largest client's FFT size; smaller clients' spectra are
-  // linearly interpolated onto it in frequency space.
-  size_t max_fft = 0;
-  size_t min_samples = static_cast<size_t>(-1);
-  for (const auto& v : client_values) {
-    max_fft = std::max(max_fft, NextPowerOfTwo(v.size()));
-    min_samples = std::min(min_samples, v.size());
-  }
-  if (max_fft < 8 || min_samples < 8) return {};
-  size_t half = max_fft / 2;
-  std::vector<double> combined(half, 0.0);
-  double weight_sum = 0.0;
-  for (size_t c = 0; c < client_values.size(); ++c) {
-    if (client_values[c].size() < 8) continue;
-    size_t n_fft = 0;
-    std::vector<double> power = PowerSpectrum(client_values[c], &n_fft);
-    if (power.empty()) continue;
-    // Normalize per-client spectra so a high-variance client does not drown
-    // out the rest beyond its intended weight.
-    double total = Sum(power);
-    if (total <= 0.0) continue;
-    double w = weights[c];
-    weight_sum += w;
-    for (size_t i = 0; i < half; ++i) {
-      // Frequency of combined bin i+1 on the common grid.
-      double f = static_cast<double>(i + 1) / static_cast<double>(max_fft);
-      double pos = f * static_cast<double>(n_fft);  // Bin position in client grid.
-      double pidx = pos - 1.0;                       // Index into `power`.
-      if (pidx < 0.0) pidx = 0.0;
-      size_t lo = static_cast<size_t>(pidx);
-      if (lo >= power.size()) continue;
-      size_t hi = std::min(lo + 1, power.size() - 1);
-      double frac = pidx - static_cast<double>(lo);
-      double interp = power[lo] * (1.0 - frac) + power[hi] * frac;
-      combined[i] += w * interp / total;
+  std::vector<size_t> order = ArgsortDescending(power);
+  for (size_t idx : order) {
+    if (out.size() >= top_n) break;
+    size_t k = idx + 1;  // Frequency bin (DC excluded).
+    // Local peak test against neighbours.
+    double p = power[idx];
+    if (idx > 0 && power[idx - 1] > p) continue;
+    if (idx + 1 < power.size() && power[idx + 1] > p) continue;
+    double strength = p / total;
+    if (strength < min_strength) break;  // Sorted order: all later are weaker.
+    double period = static_cast<double>(n_fft) / static_cast<double>(k);
+    if (period < 2.0 || period > static_cast<double>(values.size()) / 2.0) continue;
+    // Suppress near-duplicates (harmonics resolved onto close bins).
+    bool dup = false;
+    for (const auto& c : out) {
+      if (std::fabs(c.period - period) < 0.15 * c.period) {
+        dup = true;
+        break;
+      }
     }
+    if (dup) continue;
+    out.push_back({period, strength});
   }
-  if (weight_sum <= 0.0) return {};
-  // Admissible periods bounded by the smallest client split.
-  return ExtractPeaks(combined, max_fft, min_samples, top_n, min_strength);
+  return out;
 }
 
 }  // namespace fedfc::ts

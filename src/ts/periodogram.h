@@ -6,18 +6,6 @@
 
 namespace fedfc::ts {
 
-/// One spectral estimate: frequency in cycles/sample, the corresponding
-/// period in samples, and the power at that frequency.
-struct SpectralPoint {
-  double frequency = 0.0;
-  double period = 0.0;
-  double power = 0.0;
-};
-
-/// Periodogram of a (mean-removed, zero-padded) real signal. Returns points
-/// for frequencies k/N, k = 1..N/2 (DC excluded).
-std::vector<SpectralPoint> Periodogram(const std::vector<double>& values);
-
 /// A detected seasonal component: its period (in samples) and a relative
 /// strength in [0, 1] (power normalized by the total spectral power).
 struct SeasonalComponent {
@@ -32,15 +20,6 @@ struct SeasonalComponent {
 std::vector<SeasonalComponent> DetectSeasonalities(const std::vector<double>& values,
                                                    size_t top_n = 5,
                                                    double min_strength = 0.01);
-
-/// Weighted combination of per-client periodograms (paper Section 4.2.1:
-/// "weighted periodogram across all clients"). Each client's periodogram is
-/// interpolated onto a common frequency grid, weighted by `weights` (e.g.
-/// client sizes), summed, then peaks are extracted as in DetectSeasonalities.
-std::vector<SeasonalComponent> DetectSeasonalitiesWeighted(
-    const std::vector<std::vector<double>>& client_values,
-    const std::vector<double>& weights, size_t top_n = 5,
-    double min_strength = 0.01);
 
 }  // namespace fedfc::ts
 

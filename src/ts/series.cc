@@ -1,10 +1,8 @@
 #include "ts/series.h"
 
-#include <algorithm>
 #include <sstream>
 
 #include "core/logging.h"
-#include "core/vec_math.h"
 
 namespace fedfc::ts {
 
@@ -21,32 +19,11 @@ double Series::MissingFraction() const {
   return static_cast<double>(CountMissing()) / static_cast<double>(values_.size());
 }
 
-std::vector<double> Series::NonMissingValues() const {
-  std::vector<double> out;
-  out.reserve(values_.size());
-  for (double v : values_) {
-    if (!IsMissing(v)) out.push_back(v);
-  }
-  return out;
-}
-
 Series Series::Slice(size_t begin, size_t end) const {
   FEDFC_CHECK(begin <= end && end <= values_.size());
   std::vector<double> vals(values_.begin() + static_cast<std::ptrdiff_t>(begin),
                            values_.begin() + static_cast<std::ptrdiff_t>(end));
   return Series(std::move(vals), TimestampAt(begin), interval_seconds_);
-}
-
-Result<std::pair<Series, Series>> Series::TrainValidSplit(double valid_fraction) const {
-  if (valid_fraction <= 0.0 || valid_fraction >= 1.0) {
-    return Status::InvalidArgument("TrainValidSplit: valid_fraction must be in (0,1)");
-  }
-  size_t n_valid = static_cast<size_t>(valid_fraction * static_cast<double>(size()));
-  if (n_valid == 0 || n_valid >= size()) {
-    return Status::InvalidArgument("TrainValidSplit: series too short to split");
-  }
-  size_t n_train = size() - n_valid;
-  return std::make_pair(Slice(0, n_train), Slice(n_train, size()));
 }
 
 std::string Series::ToString(int max_values) const {
@@ -72,21 +49,6 @@ std::vector<double> Difference(const std::vector<double>& values, int order) {
     cur = std::move(next);
   }
   return cur;
-}
-
-std::pair<double, double> StandardizeInPlace(std::vector<double>* values) {
-  FEDFC_CHECK(values != nullptr);
-  std::vector<double> present;
-  present.reserve(values->size());
-  for (double v : *values) {
-    if (!IsMissing(v)) present.push_back(v);
-  }
-  double mean = Mean(present);
-  double sd = std::max(StdDev(present), 1e-12);
-  for (double& v : *values) {
-    if (!IsMissing(v)) v = (v - mean) / sd;
-  }
-  return {mean, sd};
 }
 
 Result<std::vector<Series>> SplitIntoClients(const Series& series, int n_clients,

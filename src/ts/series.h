@@ -54,15 +54,8 @@ class Series {
   [[nodiscard]] size_t CountMissing() const;
   [[nodiscard]] double MissingFraction() const;
 
-  /// Values with missing entries removed (order preserved).
-  [[nodiscard]] std::vector<double> NonMissingValues() const;
-
   /// Sub-series [begin, end) preserving the time axis.
   [[nodiscard]] Series Slice(size_t begin, size_t end) const;
-
-  /// Splits into the leading `1 - valid_fraction` (train) and trailing
-  /// `valid_fraction` (validation) — a proper time-series split.
-  [[nodiscard]] Result<std::pair<Series, Series>> TrainValidSplit(double valid_fraction) const;
 
   [[nodiscard]] std::string ToString(int max_values = 8) const;
 
@@ -74,10 +67,6 @@ class Series {
 
 /// d-th order differencing (drops missing-adjacent results to NaN).
 std::vector<double> Difference(const std::vector<double>& values, int order = 1);
-
-/// Standardizes to zero mean / unit variance (missing entries passed through).
-/// Returns {mean, stddev} used, with stddev floored at a tiny epsilon.
-std::pair<double, double> StandardizeInPlace(std::vector<double>* values);
 
 /// Splits a consolidated series into `n_clients` contiguous time-series
 /// chunks, mirroring the paper's federated dataset construction. Sizes differ

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -124,6 +125,28 @@ TEST(RoundTest, InvalidParticipationFractionRejected) {
   EXPECT_FALSE(CollectRound(*server, spec).ok());
   spec.policy.participation_fraction = 1.5;
   EXPECT_FALSE(CollectRound(*server, spec).ok());
+}
+
+TEST(RoundTest, NanAndOutOfRangePolicyFractionsRejected) {
+  // NaN fails every ordered comparison, so `f <= 0 || f > 1` lets it through
+  // to SampleParticipants' size_t cast (undefined behaviour).
+  auto server = MakeServer(std::vector<double>(10, 1.0),
+                           std::vector<size_t>(10, 10));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RoundSpec spec("any", Payload());
+  spec.policy.participation_fraction = nan;
+  EXPECT_EQ(CollectRound(*server, spec).status().code(),
+            StatusCode::kInvalidArgument);
+
+  spec.policy.participation_fraction = 1.0;
+  for (double bad : {nan, 1.5, -0.1}) {
+    spec.policy.min_success_fraction = bad;
+    EXPECT_EQ(CollectRound(*server, spec).status().code(),
+              StatusCode::kInvalidArgument)
+        << "min_success_fraction = " << bad;
+  }
+  // Rejected before any client is contacted.
+  EXPECT_EQ(server->transport_stats().messages, 0u);
 }
 
 TEST(RoundTest, SampledSubsetRenormalizesWeights) {

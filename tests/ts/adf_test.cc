@@ -68,25 +68,6 @@ TEST(IsStationaryTest, FallbackUsedOnFailure) {
   EXPECT_FALSE(IsStationary({1, 2, 3}, /*fallback=*/false));
 }
 
-TEST(OrderOfIntegrationTest, StationaryIsZero) {
-  EXPECT_EQ(OrderOfIntegration(StationaryAr1(800, 5)), 0);
-}
-
-TEST(OrderOfIntegrationTest, RandomWalkIsOne) {
-  EXPECT_EQ(OrderOfIntegration(RandomWalk(800, 6)), 1);
-}
-
-TEST(OrderOfIntegrationTest, DoubleIntegratedIsTwo) {
-  std::vector<double> walk = RandomWalk(800, 7);
-  std::vector<double> twice(walk.size());
-  double acc = 0.0;
-  for (size_t t = 0; t < walk.size(); ++t) {
-    acc += walk[t];
-    twice[t] = acc;
-  }
-  EXPECT_EQ(OrderOfIntegration(twice), 2);
-}
-
 // Property sweep: the verdict should be robust across seeds.
 class AdfSweepTest : public ::testing::TestWithParam<uint64_t> {};
 

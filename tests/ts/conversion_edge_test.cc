@@ -87,17 +87,6 @@ TEST(ConversionEdgeTest, AdfExplicitZeroLagOnMinimalSeries) {
   EXPECT_TRUE(result.value().stationary());
 }
 
-TEST(ConversionEdgeTest, PeriodogramOfTinySignalsIsEmptyOrFinite) {
-  EXPECT_TRUE(Periodogram({}).empty());
-  EXPECT_TRUE(Periodogram({1.0}).empty());
-  // Two samples: one usable frequency bin (k = 1 of N = 2).
-  const auto points = Periodogram({1.0, -1.0});
-  for (const auto& p : points) {
-    EXPECT_TRUE(std::isfinite(p.power));
-    EXPECT_GT(p.frequency, 0.0);
-  }
-}
-
 TEST(ConversionEdgeTest, DetectSeasonalitiesPeriodBoundsRespectShortInput) {
   // Periods are bounded by n/2; with n = 6 nothing above 3 may be reported
   // (the bound is computed via a size-to-double conversion).
@@ -165,19 +154,6 @@ TEST(ConversionEdgeTest, HistogramClampsOutOfRangeSamples) {
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_GT(hist[0], hist[1]);  // the two low outliers land in bin 0
   EXPECT_GT(hist[3], hist[1]);  // the two high outliers land in bin 3
-}
-
-TEST(ConversionEdgeTest, PairwiseClientKlDegenerateClients) {
-  // Constant (zero-width) clients are degenerate; fewer than two usable
-  // clients yields an empty result instead of a wrapped pair count.
-  EXPECT_TRUE(PairwiseClientKl({}).empty());
-  EXPECT_TRUE(PairwiseClientKl({{1.0, 2.0, 3.0}}).empty());
-  const auto kl = PairwiseClientKl({{1.0, 2.0, 3.0, 4.0}, {1.5, 2.5, 3.5, 4.5}});
-  ASSERT_EQ(kl.size(), 2u);  // KL(0||1) and KL(1||0)
-  for (double v : kl) {
-    EXPECT_TRUE(std::isfinite(v));
-    EXPECT_GE(v, 0.0);
-  }
 }
 
 }  // namespace

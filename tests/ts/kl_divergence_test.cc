@@ -65,35 +65,5 @@ TEST(KlDivergenceTest, NonNegative) {
   }
 }
 
-TEST(PairwiseClientKlTest, SimilarClientsHaveSmallKl) {
-  Rng rng(2);
-  std::vector<std::vector<double>> clients(3);
-  for (auto& c : clients) {
-    c.resize(2000);
-    for (double& v : c) v = rng.Normal(0.0, 1.0);
-  }
-  std::vector<double> kls = PairwiseClientKl(clients);
-  ASSERT_EQ(kls.size(), 6u);  // 3 * 2 ordered pairs.
-  for (double kl : kls) EXPECT_LT(kl, 0.1);
-}
-
-TEST(PairwiseClientKlTest, ShiftedClientHasLargeKl) {
-  Rng rng(3);
-  std::vector<std::vector<double>> clients(2);
-  clients[0].resize(2000);
-  clients[1].resize(2000);
-  for (double& v : clients[0]) v = rng.Normal(0.0, 1.0);
-  for (double& v : clients[1]) v = rng.Normal(10.0, 1.0);
-  std::vector<double> kls = PairwiseClientKl(clients);
-  ASSERT_EQ(kls.size(), 2u);
-  EXPECT_GT(kls[0], 1.0);
-  EXPECT_GT(kls[1], 1.0);
-}
-
-TEST(PairwiseClientKlTest, EmptyInput) {
-  EXPECT_TRUE(PairwiseClientKl({}).empty());
-  EXPECT_TRUE(PairwiseClientKl({{}, {}}).empty());
-}
-
 }  // namespace
 }  // namespace fedfc::ts

@@ -22,23 +22,7 @@ std::vector<double> Sine(size_t n, double period, double amplitude,
   return v;
 }
 
-TEST(PeriodogramTest, ReturnsHalfSpectrum) {
-  std::vector<SpectralPoint> p = Periodogram(Sine(256, 16, 1.0, 0.0, 1));
-  EXPECT_EQ(p.size(), 128u);
-  EXPECT_GT(p.front().period, p.back().period);
-}
-
-TEST(PeriodogramTest, PeakAtTruePeriod) {
-  std::vector<SpectralPoint> p = Periodogram(Sine(512, 16, 1.0, 0.1, 2));
-  const SpectralPoint* best = &p[0];
-  for (const auto& pt : p) {
-    if (pt.power > best->power) best = &pt;
-  }
-  EXPECT_NEAR(best->period, 16.0, 1.0);
-}
-
 TEST(PeriodogramTest, TooShortReturnsEmpty) {
-  EXPECT_TRUE(Periodogram({1.0, 2.0}).empty());
   EXPECT_TRUE(DetectSeasonalities({1, 2, 3}).empty());
 }
 
@@ -82,35 +66,6 @@ TEST(DetectSeasonalitiesTest, SuppressesNearDuplicates) {
                 0.15 * comps[i].period);
     }
   }
-}
-
-TEST(WeightedPeriodogramTest, CombinesClientsWithSharedSeason) {
-  // Three clients share a 24-sample season; weights by size.
-  std::vector<std::vector<double>> clients = {
-      Sine(256, 24, 1.0, 0.2, 10),
-      Sine(300, 24, 1.0, 0.2, 11),
-      Sine(280, 24, 1.0, 0.2, 12),
-  };
-  std::vector<double> weights = {256, 300, 280};
-  auto comps = DetectSeasonalitiesWeighted(clients, weights, 3);
-  ASSERT_FALSE(comps.empty());
-  EXPECT_NEAR(comps.front().period, 24.0, 3.0);
-}
-
-TEST(WeightedPeriodogramTest, HighWeightClientDominates) {
-  std::vector<std::vector<double>> clients = {
-      Sine(512, 16, 1.0, 0.1, 13),
-      Sine(512, 90, 1.0, 0.1, 14),
-  };
-  // Nearly all weight on the period-16 client.
-  auto comps = DetectSeasonalitiesWeighted(clients, {100.0, 0.5}, 1);
-  ASSERT_FALSE(comps.empty());
-  EXPECT_NEAR(comps.front().period, 16.0, 2.0);
-}
-
-TEST(WeightedPeriodogramTest, DegenerateInputs) {
-  EXPECT_TRUE(DetectSeasonalitiesWeighted({}, {}).empty());
-  EXPECT_TRUE(DetectSeasonalitiesWeighted({{1, 2, 3}}, {3.0}).empty());
 }
 
 }  // namespace

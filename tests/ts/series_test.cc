@@ -23,10 +23,6 @@ TEST(SeriesTest, MissingValueAccounting) {
   Series s = MakeSeries({1, MissingValue(), 3, MissingValue()});
   EXPECT_EQ(s.CountMissing(), 2u);
   EXPECT_DOUBLE_EQ(s.MissingFraction(), 0.5);
-  std::vector<double> present = s.NonMissingValues();
-  ASSERT_EQ(present.size(), 2u);
-  EXPECT_DOUBLE_EQ(present[0], 1.0);
-  EXPECT_DOUBLE_EQ(present[1], 3.0);
 }
 
 TEST(SeriesTest, SlicePreservesTimeAxis) {
@@ -36,21 +32,6 @@ TEST(SeriesTest, SlicePreservesTimeAxis) {
   EXPECT_DOUBLE_EQ(sub[0], 2.0);
   EXPECT_EQ(sub.start_epoch(), s.TimestampAt(2));
   EXPECT_EQ(sub.interval_seconds(), s.interval_seconds());
-}
-
-TEST(SeriesTest, TrainValidSplitIsTimeOrdered) {
-  Series s = MakeSeries({0, 1, 2, 3, 4, 5, 6, 7, 8, 9});
-  auto split = s.TrainValidSplit(0.3);
-  ASSERT_TRUE(split.ok());
-  EXPECT_EQ(split->first.size(), 7u);
-  EXPECT_EQ(split->second.size(), 3u);
-  EXPECT_DOUBLE_EQ(split->second[0], 7.0);
-}
-
-TEST(SeriesTest, TrainValidSplitRejectsBadFraction) {
-  Series s = MakeSeries({1, 2, 3});
-  EXPECT_FALSE(s.TrainValidSplit(0.0).ok());
-  EXPECT_FALSE(s.TrainValidSplit(1.0).ok());
 }
 
 TEST(DifferenceTest, FirstAndSecondOrder) {
@@ -73,23 +54,6 @@ TEST(DifferenceTest, ZeroOrderIsIdentity) {
 TEST(DifferenceTest, ShortInputGivesEmpty) {
   EXPECT_TRUE(Difference({1.0}, 1).empty());
   EXPECT_TRUE(Difference({}, 1).empty());
-}
-
-TEST(StandardizeTest, ZeroMeanUnitVariance) {
-  std::vector<double> v = {2, 4, 6, 8};
-  auto [mean, sd] = StandardizeInPlace(&v);
-  EXPECT_DOUBLE_EQ(mean, 5.0);
-  EXPECT_GT(sd, 0.0);
-  double sum = 0.0;
-  for (double x : v) sum += x;
-  EXPECT_NEAR(sum, 0.0, 1e-12);
-}
-
-TEST(StandardizeTest, MissingValuesPassThrough) {
-  std::vector<double> v = {1, MissingValue(), 3};
-  StandardizeInPlace(&v);
-  EXPECT_TRUE(IsMissing(v[1]));
-  EXPECT_FALSE(IsMissing(v[0]));
 }
 
 TEST(SplitIntoClientsTest, BalancedContiguousSplits) {
